@@ -1,14 +1,19 @@
-// Microbenchmarks for the SIMD math-kernel layer and the deterministic
-// parallel LINE trainer.
+// Microbenchmarks for the SIMD math-kernel layer and the LINE trainer.
 //
 // After the google-benchmark run, BENCH_line.json (override the path with
-// DNSEMBED_BENCH_JSON) records best-of-N wall times for LINE training at
-// scalar vs the widest SIMD rung, across thread counts and dimensions, with
-// the effective OS worker count next to the requested one. In full mode the
-// binary FAILS (nonzero exit) when the SIMD path is not at least 1.5x the
-// scalar path at dim=128 — the acceptance gate for the kernel layer.
+// DNSEMBED_BENCH_JSON) records best-of-N wall times for LINE training:
+//  - a sweep over scalar vs the widest SIMD rung, dimensions 16 and 128,
+//    and threads 1/2/4, with the OS thread count train_line actually used
+//    (effective_threads) next to the requested one;
+//  - a row shaped like the default pipeline's query graph (dim 24, 1.5k
+//    vertices, 750k edges, 2M samples), where edge draws miss cache, at
+//    threads 1 and 2, reporting samples/s.
+// In full mode the binary FAILS (nonzero exit) when
+//  - the SIMD path is under 1.5x the scalar path at dim=128, T=1, or
+//  - T=2 (kBoth's two objectives on two threads) is not at most 0.7x the
+//    T=1 wall at dim=128 on the widest rung.
 //
-// Smoke mode (DNSEMBED_BENCH_SMOKE=1): tiny step count, no speedup gate
+// Smoke mode (DNSEMBED_BENCH_SMOKE=1): tiny step count, no timing gates
 // (timings are noise at that scale) — it exists so CI catches dispatch
 // regressions fast: both rungs must train to finite embeddings and the
 // forced rung must actually be selected.
@@ -26,7 +31,6 @@
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -101,12 +105,15 @@ void BM_LineTrain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(config.total_samples));
 }
-BENCHMARK(BM_LineTrain)->Args({128, 1})->Args({128, 4})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LineTrain)
+    ->Args({128, 1})
+    ->Args({128, 2})
+    ->Args({128, 4})
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
-// BENCH_line.json: scalar vs SIMD x threads x dim for a fixed sample
-// budget, one JSON array of {name, simd, dim, threads, effective_threads,
-// wall_ms, samples_per_s} records.
+// BENCH_line.json: one JSON array of {name, simd, dim, threads,
+// effective_threads, vertices, edges, samples, wall_ms, samples_per_s}.
 
 double best_wall_ms(const std::function<void()>& fn, int reps = 3) {
   double best = 1e300;
@@ -127,10 +134,40 @@ bool finite_embedding(const embed::EmbeddingMatrix& m) {
   return true;
 }
 
+struct Row {
+  const char* name;
+  util::simd::Level level;
+  std::size_t dim;
+  std::size_t threads;
+  std::size_t effective_threads;
+  std::size_t vertices;
+  std::size_t edges;
+  std::size_t samples;
+  double wall_ms;
+};
+
+/// Time train_line on `g`; false if the embedding is not finite.
+bool time_row(const char* name, const graph::WeightedGraph& g, std::size_t dim,
+              std::size_t threads, std::size_t samples, int reps, std::vector<Row>& rows) {
+  const auto config = line_config(dim, threads, samples);
+  embed::EmbeddingMatrix last;
+  const double ms = best_wall_ms([&] { last = embed::train_line(g, config); }, reps);
+  const util::simd::Level level = util::simd::active_level();
+  if (!finite_embedding(last)) {
+    std::fprintf(stderr, "micro_line: FAIL: non-finite embedding in %s at %s dim=%zu\n",
+                 name, util::simd::level_name(level), dim);
+    return false;
+  }
+  rows.push_back({name, level, dim, threads, embed::effective_threads(config),
+                  g.vertex_count(), g.edge_count(), samples, ms});
+  return true;
+}
+
 int write_line_json() {
   const char* path = std::getenv("DNSEMBED_BENCH_JSON");
   if (path == nullptr) path = "BENCH_line.json";
   const bool smoke = smoke_mode();
+  const int reps = smoke ? 1 : 3;
   const std::size_t samples = smoke ? 30000 : 600000;
   const auto g = random_graph(1000, 20000, 3);
 
@@ -140,12 +177,6 @@ int write_line_json() {
           ? std::vector<util::simd::Level>{util::simd::Level::kScalar}
           : std::vector<util::simd::Level>{util::simd::Level::kScalar, best_level};
 
-  struct Row {
-    util::simd::Level level;
-    std::size_t dim;
-    std::size_t threads;
-    double wall_ms;
-  };
   std::vector<Row> rows;
   for (const util::simd::Level level : levels) {
     if (util::simd::force_level(level) != level) {
@@ -155,20 +186,21 @@ int write_line_json() {
     }
     for (const std::size_t dim : {std::size_t{16}, std::size_t{128}}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        const auto config = line_config(dim, threads, samples);
-        embed::EmbeddingMatrix last;
-        const double ms =
-            best_wall_ms([&] { last = embed::train_line(g, config); }, smoke ? 1 : 3);
-        if (!finite_embedding(last)) {
-          std::fprintf(stderr, "micro_line: FAIL: non-finite embedding at %s dim=%zu\n",
-                       util::simd::level_name(level), dim);
-          return 1;
-        }
-        rows.push_back({level, dim, threads, ms});
+        if (!time_row("line_train", g, dim, threads, samples, reps, rows)) return 1;
       }
     }
   }
   util::simd::force_level(best_level);
+
+  // The default pipeline's query graph: ~1.5k domains, ~700k similarity
+  // edges, dim 24, 2M samples — the edge sampler far outgrows L2.
+  const auto wide = random_graph(1500, smoke ? 50000 : 750000, 5);
+  const std::size_t wide_samples = smoke ? 30000 : 2000000;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    if (!time_row("line_batch_line_shape", wide, 24, threads, wide_samples, reps, rows)) {
+      return 1;
+    }
+  }
 
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -179,12 +211,13 @@ int write_line_json() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "  {\"name\": \"line_train\", \"simd\": \"%s\", \"dim\": %zu, "
-                 "\"threads\": %zu, \"effective_threads\": %zu, \"samples\": %zu, "
-                 "\"wall_ms\": %.3f, \"samples_per_s\": %.0f}%s\n",
-                 util::simd::level_name(r.level), r.dim, r.threads,
-                 util::resolve_threads(r.threads), samples, r.wall_ms,
-                 static_cast<double>(samples) / (r.wall_ms / 1e3),
+                 "  {\"name\": \"%s\", \"simd\": \"%s\", \"dim\": %zu, "
+                 "\"threads\": %zu, \"effective_threads\": %zu, \"vertices\": %zu, "
+                 "\"edges\": %zu, \"samples\": %zu, \"wall_ms\": %.3f, "
+                 "\"samples_per_s\": %.0f}%s\n",
+                 r.name, util::simd::level_name(r.level), r.dim, r.threads,
+                 r.effective_threads, r.vertices, r.edges, r.samples, r.wall_ms,
+                 static_cast<double>(r.samples) / (r.wall_ms / 1e3),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "]\n");
@@ -192,27 +225,46 @@ int write_line_json() {
   std::printf("wrote %s (%s mode, active rung %s)\n", path, smoke ? "smoke" : "full",
               util::simd::level_name(best_level));
 
-  if (smoke || best_level == util::simd::Level::kScalar) return 0;
+  if (smoke) return 0;
 
-  // Gate: SIMD must carry its weight where the flops live.
   const auto wall_at = [&](util::simd::Level level, std::size_t dim, std::size_t threads) {
     for (const Row& r : rows) {
-      if (r.level == level && r.dim == dim && r.threads == threads) return r.wall_ms;
+      if (std::string{r.name} == "line_train" && r.level == level && r.dim == dim &&
+          r.threads == threads) {
+        return r.wall_ms;
+      }
     }
     return -1.0;
   };
+  int rc = 0;
+
+  // Gate: two objectives on two threads must beat one thread on real cores.
+  const double t1_ms = wall_at(best_level, 128, 1);
+  const double t2_ms = wall_at(best_level, 128, 2);
+  const double ratio = t2_ms / t1_ms;
+  std::printf("dim=128 %s: T=1 %.1f ms, T=2 %.1f ms -> %.2fx T=1 (gate: <= 0.7x)\n",
+              util::simd::level_name(best_level), t1_ms, t2_ms, ratio);
+  if (ratio > 0.7) {
+    std::fprintf(stderr, "micro_line: FAIL: T=2 takes %.2fx the T=1 wall at dim=128 "
+                         "(gate 0.7x)\n",
+                 ratio);
+    rc = 1;
+  }
+
+  if (best_level == util::simd::Level::kScalar) return rc;
+
+  // Gate: SIMD must carry its weight where the flops live.
   const double scalar_ms = wall_at(util::simd::Level::kScalar, 128, 1);
-  const double simd_ms = wall_at(best_level, 128, 1);
-  const double speedup = scalar_ms / simd_ms;
+  const double speedup = scalar_ms / t1_ms;
   std::printf("dim=128 T=1: scalar %.1f ms, %s %.1f ms -> %.2fx (gate: >= 1.5x)\n",
-              scalar_ms, util::simd::level_name(best_level), simd_ms, speedup);
+              scalar_ms, util::simd::level_name(best_level), t1_ms, speedup);
   if (speedup < 1.5) {
     std::fprintf(stderr, "micro_line: FAIL: %s is only %.2fx scalar at dim=128 "
                          "(gate 1.5x)\n",
                  util::simd::level_name(best_level), speedup);
-    return 1;
+    rc = 1;
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace

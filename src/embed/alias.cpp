@@ -1,5 +1,6 @@
 #include "embed/alias.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace dnsembed::embed {
@@ -8,9 +9,13 @@ AliasTable::AliasTable(std::span<const double> weights) {
   if (weights.empty()) throw std::invalid_argument{"AliasTable: empty weights"};
   double total = 0.0;
   for (const double w : weights) {
+    // NaN fails every comparison and would silently degrade to uniform
+    // sampling; inf would swallow all the mass. Reject both.
+    if (!std::isfinite(w)) throw std::invalid_argument{"AliasTable: non-finite weight"};
     if (w < 0.0) throw std::invalid_argument{"AliasTable: negative weight"};
     total += w;
   }
+  if (!std::isfinite(total)) throw std::invalid_argument{"AliasTable: weight sum overflows"};
   if (total <= 0.0) throw std::invalid_argument{"AliasTable: weights sum to zero"};
 
   const std::size_t n = weights.size();
@@ -42,11 +47,6 @@ AliasTable::AliasTable(std::span<const double> weights) {
   // Leftovers (numerical residue) get probability 1.
   for (const std::size_t i : small) prob_[i] = 1.0;
   for (const std::size_t i : large) prob_[i] = 1.0;
-}
-
-std::size_t AliasTable::sample(util::Rng& rng) const noexcept {
-  const std::size_t bucket = rng.uniform_index(prob_.size());
-  return rng.uniform() < prob_[bucket] ? bucket : alias_[bucket];
 }
 
 double AliasTable::probability(std::size_t i) const noexcept {

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <stdexcept>
 #include <vector>
 
 #include "embed/alias.hpp"
+#include "graph/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dnsembed::embed {
 
@@ -62,168 +63,152 @@ constexpr std::uint64_t sample_seed(std::uint64_t base, std::uint64_t step) noex
   return mix64(base ^ mix64(step + 0x9e3779b97f4a7c15ULL));
 }
 
-/// Everything run_sgd reads about the graph: the edge endpoints as
-/// struct-of-arrays (for a CSR arena these spans alias the mapped file —
-/// the sampler touches no deserialized copy) plus the samplers built over
-/// edge weights and noise degrees.
-struct TrainContext {
-  std::span<const std::uint32_t> edge_u;
-  std::span<const std::uint32_t> edge_v;
-  std::size_t vertex_count = 0;
-  const LineConfig& config;
-  AliasTable edge_sampler;
-  AliasTable noise_sampler;
-  std::size_t steps = 0;
+/// One edge alias-table bucket with both candidate edges inlined: the
+/// acceptance test and the endpoints of the bucket's own edge and of its
+/// alias edge sit in one 24-byte record, so an edge draw touches one cold
+/// line instead of four arrays (acceptance, alias, edge_u, edge_v).
+struct EdgeBucket {
+  double acceptance;
+  std::uint32_t u;
+  std::uint32_t v;
+  std::uint32_t alias_u;
+  std::uint32_t alias_v;
 };
 
-/// Pending updates routed to one destination shard by one logical lane:
-/// keys[i] = (vertex << 1) | is_context, deltas holds dim floats per key in
-/// the order the steps emitted them.
-struct DeltaShard {
-  std::vector<std::uint32_t> keys;
-  std::vector<float> deltas;
-
-  void clear() noexcept {
-    keys.clear();
-    deltas.clear();
+/// Repack the edge alias table into EdgeBuckets. The table is a temporary:
+/// the records replace its arrays rather than sitting beside them.
+std::vector<EdgeBucket> pack_edge_buckets(const util::CsrGraph& g) {
+  const AliasTable table{g.edge_w()};
+  const auto edge_u = g.edge_u();
+  const auto edge_v = g.edge_v();
+  std::vector<EdgeBucket> buckets(table.size());
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    const std::size_t a = table.alias(b);
+    buckets[b] = {table.acceptance(b), edge_u[b], edge_v[b], edge_u[a], edge_v[a]};
   }
+  return buckets;
+}
+
+/// Everything run_sgd reads about the graph: the packed edge sampler and
+/// the noise sampler over weighted degrees. Read-only during training, so
+/// the two kBoth objectives share one context across threads.
+struct TrainContext {
+  std::vector<EdgeBucket> edges;
+  AliasTable noise_sampler;
+  std::size_t vertex_count = 0;
+  const LineConfig& config;
+  std::size_t steps = 0;
 };
 
 /// One SGD objective pass (first- or second-order) writing `dim`-wide rows
 /// into `vertex` (and using `context` when second_order).
 ///
-/// Deterministically parallel: steps run in fixed-size batches. Within a
-/// batch every step draws from its own counter-based Rng (sample_seed), reads
-/// the embedding state frozen at the last barrier, and emits its updates as
-/// delta entries routed to destination shards (shard = vertex % lanes). At
-/// the barrier, shard s is applied by walking lanes in order and each lane's
-/// entries in emission order — i.e. ascending global step order per
-/// destination row. Every float add therefore lands in the same order no
-/// matter how many OS threads ran the batch, how the batch was partitioned,
-/// or how many shards exist: the result is bit-identical for any
-/// config.threads, which is what lets run --resume train LINE multi-threaded
-/// and still byte-match an uninterrupted run.
-void run_sgd(TrainContext& ctx, std::vector<float>& vertex, std::vector<float>& context,
-             std::size_t dim, bool second_order) {
+/// Batch-synchronous: every step draws from its own counter-based Rng and
+/// reads the rows as they stood at the batch start. A staging pass seeds
+/// each step's Rng, draws its edge bucket and prefetches the record; the
+/// compute pass reads rows from the batch-start snapshot, adds updates
+/// straight into the live rows in step order, and finally copies the
+/// touched rows back into the snapshot. Every output bit is thus fixed by
+/// (seed, config, graph).
+void run_sgd(const TrainContext& ctx, std::vector<float>& vertex,
+             std::vector<float>& context, std::size_t dim, bool second_order) {
+  OBS_SPAN(second_order ? "embed.line.worker.order2" : "embed.line.worker.order1");
   const auto& config = ctx.config;
   const std::size_t total = ctx.steps;
   const double lr_floor = config.initial_lr * config.min_lr_fraction;
   const std::uint64_t base_seed =
       config.seed ^ (second_order ? 0xA5A5A5A5ULL : 0x5A5A5A5AULL);
 
-  // One relaxed add per SGD sample: an LINE step does O(dim * negatives)
-  // flops, so the sharded counter disappears into it; disabled runs pay a
-  // predicted branch.
+  // One relaxed add per batch; the total equals the SGD sample count.
   static obs::Counter& samples_counter = obs::metrics().counter("embed.line.samples");
 
-  // Logical lanes come from the config knob, not the pool size: a 4-lane run
-  // on a 1-core box exercises the same buffers, shard routing, and apply
-  // order as on a 4-core box, so determinism tests are never vacuous. 0
-  // means one lane per hardware thread (output is identical either way).
-  const std::size_t lanes =
-      config.threads != 0 ? config.threads : util::resolve_threads(0);
-  // Updates within a batch read the last barrier's state, so per-row
-  // staleness is roughly batch_size * (negatives + 2) / vertex_count
-  // accumulated stale steps. Tying the batch to the vertex count keeps that
-  // ratio constant: small dense test graphs take many cheap barriers while
-  // big graphs amortize barriers over 4096-step batches.
+  // Per-row staleness is roughly batch_size * (negatives + 2) / vertex_count
+  // stale steps; tying the batch to the vertex count keeps it constant.
   const std::size_t batch_size =
       std::clamp<std::size_t>(ctx.vertex_count / 4, 64, 4096);
 
-  std::vector<std::vector<DeltaShard>> buffers(lanes, std::vector<DeltaShard>(lanes));
-  std::vector<std::vector<float>> grads(lanes, std::vector<float>(dim));
+  // Row key = (vertex << 1) | is_context. Sources are always vertex rows;
+  // targets are context rows in the second-order objective.
+  const std::uint32_t target_bit = second_order ? 1u : 0u;
+  float* const live[2] = {vertex.data(), context.data()};
+  std::vector<float> vertex_snap = vertex;
+  std::vector<float> context_snap = context;
+  float* const snap[2] = {vertex_snap.data(), context_snap.data()};
+  const auto row = [dim](auto* base, std::uint32_t v) {
+    return base + static_cast<std::size_t>(v) * dim;
+  };
 
-  const auto compute_lane = [&](std::size_t lane, std::size_t b0, std::size_t b1) {
-    const std::size_t n = b1 - b0;
-    const std::size_t chunk = (n + lanes - 1) / lanes;
-    const std::size_t lo = b0 + lane * chunk;
-    const std::size_t hi = std::min(b1, lo + chunk);
-    if (lo >= hi) return;
-    auto& shards = buffers[lane];
-    float* const grad = grads[lane].data();
-    const float* const tgt_base = second_order ? context.data() : vertex.data();
-    for (std::size_t step = lo; step < hi; ++step) {
-      samples_counter.add(1);
-      util::Rng rng{sample_seed(base_seed, step)};
-      const double progress = static_cast<double>(step) / static_cast<double>(total);
+  std::vector<std::uint8_t> touched_mark(ctx.vertex_count * 2, 0);
+  std::vector<std::uint32_t> touched;
+  const auto update = [&](std::uint32_t key, float alpha, const float* x) {
+    util::simd::axpy(alpha, x, row(live[key & 1u], key >> 1), dim);
+    if (touched_mark[key] == 0) {
+      touched_mark[key] = 1;
+      touched.push_back(key);
+    }
+  };
+
+  struct Staged {
+    util::Rng rng;
+    const EdgeBucket* bucket;
+  };
+  std::vector<Staged> staged(std::min(batch_size, total));
+  std::vector<float> grad(dim);
+
+  for (std::size_t b0 = 0; b0 < total; b0 += batch_size) {
+    const std::size_t n = std::min(total - b0, batch_size);
+    for (std::size_t i = 0; i < n; ++i) {
+      util::Rng rng{sample_seed(base_seed, b0 + i)};
+      const EdgeBucket* bucket = &ctx.edges[rng.uniform_index(ctx.edges.size())];
+      __builtin_prefetch(bucket);
+      staged[i] = {rng, bucket};
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+      util::Rng& rng = staged[i].rng;
+      const EdgeBucket& bucket = *staged[i].bucket;
+      const double progress = static_cast<double>(b0 + i) / static_cast<double>(total);
       const double lr = std::max(lr_floor, config.initial_lr * (1.0 - progress));
 
-      const std::size_t ei = ctx.edge_sampler.sample(rng);
+      const bool own = rng.uniform() < bucket.acceptance;
+      const std::uint32_t eu = own ? bucket.u : bucket.alias_u;
+      const std::uint32_t ev = own ? bucket.v : bucket.alias_v;
       // Random orientation: the graph is undirected, LINE's updates are not.
       const bool flip = rng.bernoulli(0.5);
-      const graph::VertexId src = flip ? ctx.edge_v[ei] : ctx.edge_u[ei];
-      const graph::VertexId dst = flip ? ctx.edge_u[ei] : ctx.edge_v[ei];
+      const std::uint32_t src = flip ? ev : eu;
+      const std::uint32_t dst = flip ? eu : ev;
 
-      const float* const src_vec = vertex.data() + static_cast<std::size_t>(src) * dim;
-      std::fill_n(grad, dim, 0.0f);
+      const float* const src_vec = row(snap[0], src);
+      std::fill(grad.begin(), grad.end(), 0.0f);
 
       for (std::size_t k = 0; k <= config.negatives; ++k) {
-        graph::VertexId target = 0;
-        double label = 0.0;
-        if (k == 0) {
-          target = dst;
-          label = 1.0;
-        } else {
-          target = static_cast<graph::VertexId>(ctx.noise_sampler.sample(rng));
+        std::uint32_t target = dst;
+        double label = 1.0;
+        if (k != 0) {
+          target = static_cast<std::uint32_t>(ctx.noise_sampler.sample(rng));
           if (target == dst || target == src) continue;
+          label = 0.0;
         }
-        const float* const tgt_vec = tgt_base + static_cast<std::size_t>(target) * dim;
+        const float* const tgt_vec = row(snap[target_bit], target);
         const double dot = util::simd::dot(src_vec, tgt_vec, dim);
         const auto coeff = static_cast<float>((label - sigmoid()(dot)) * lr);
-        util::simd::axpy(coeff, tgt_vec, grad, dim);
-        DeltaShard& ds = shards[target % lanes];
-        ds.keys.push_back((static_cast<std::uint32_t>(target) << 1) |
-                          (second_order ? 1u : 0u));
-        ds.deltas.resize(ds.deltas.size() + dim);
-        util::simd::scale(coeff, src_vec, ds.deltas.data() + ds.deltas.size() - dim, dim);
+        util::simd::axpy(coeff, tgt_vec, grad.data(), dim);
+        update((target << 1) | target_bit, coeff, src_vec);
       }
-      DeltaShard& ds = shards[src % lanes];
-      ds.keys.push_back(static_cast<std::uint32_t>(src) << 1);
-      ds.deltas.insert(ds.deltas.end(), grad, grad + dim);
+      update(src << 1, 1.0f, grad.data());
     }
-  };
 
-  const auto apply_shard = [&](std::size_t shard) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      DeltaShard& ds = buffers[lane][shard];
-      for (std::size_t i = 0; i < ds.keys.size(); ++i) {
-        const std::uint32_t key = ds.keys[i];
-        float* const dst = ((key & 1u) ? context.data() : vertex.data()) +
-                           static_cast<std::size_t>(key >> 1) * dim;
-        util::simd::axpy(1.0f, ds.deltas.data() + i * dim, dst, dim);
-      }
-      ds.clear();
+    for (const std::uint32_t key : touched) {
+      std::copy_n(row(live[key & 1u], key >> 1), dim, row(snap[key & 1u], key >> 1));
+      touched_mark[key] = 0;
     }
-  };
-
-  const char* const span_name =
-      second_order ? "embed.line.worker.order2" : "embed.line.worker.order1";
-
-  if (lanes == 1) {
-    OBS_SPAN(span_name);
-    for (std::size_t b0 = 0; b0 < total; b0 += batch_size) {
-      compute_lane(0, b0, std::min(total, b0 + batch_size));
-      apply_shard(0);
-    }
-    return;
-  }
-
-  util::ThreadPool pool{config.threads};  // OS workers capped at hardware
-  for (std::size_t b0 = 0; b0 < total; b0 += batch_size) {
-    const std::size_t b1 = std::min(total, b0 + batch_size);
-    pool.parallel_for(0, lanes, [&](std::size_t wlo, std::size_t whi, std::size_t) {
-      OBS_SPAN(span_name);
-      for (std::size_t lane = wlo; lane < whi; ++lane) compute_lane(lane, b0, b1);
-    });
-    // Barrier: parallel_for joined, every lane's deltas are complete.
-    pool.parallel_for(0, lanes, [&](std::size_t slo, std::size_t shi, std::size_t) {
-      for (std::size_t shard = slo; shard < shi; ++shard) apply_shard(shard);
-    });
+    touched.clear();
+    samples_counter.add(n);
   }
 }
 
 /// Train one objective and return the raw (unnormalized) embedding block.
-std::vector<float> train_order(TrainContext& ctx, std::size_t dim, bool second_order) {
+std::vector<float> train_order(const TrainContext& ctx, std::size_t dim, bool second_order) {
   const std::size_t n = ctx.vertex_count;
   std::vector<float> vertex(n * dim);
   std::vector<float> context;
@@ -238,24 +223,14 @@ std::vector<float> train_order(TrainContext& ctx, std::size_t dim, bool second_o
 
 }  // namespace
 
+std::size_t effective_threads(const LineConfig& config) noexcept {
+  return config.order == LineOrder::kBoth && config.threads != 1 ? 2 : 1;
+}
+
 EmbeddingMatrix train_line(const graph::WeightedGraph& g, const LineConfig& config) {
-  // Convert to the CSR form so both entry points run the same core: the
-  // edge struct-of-arrays preserves g.edges() order, so the edge sampler
-  // draws the identical sequence.
-  std::vector<std::uint32_t> edge_u;
-  std::vector<std::uint32_t> edge_v;
-  std::vector<double> edge_w;
-  edge_u.reserve(g.edge_count());
-  edge_v.reserve(g.edge_count());
-  edge_w.reserve(g.edge_count());
-  for (const auto& e : g.edges()) {
-    edge_u.push_back(e.u);
-    edge_v.push_back(e.v);
-    edge_w.push_back(e.weight);
-  }
-  return train_line(
-      util::CsrGraph::build(g.vertex_count(), edge_u, edge_v, edge_w, g.names().names()),
-      config);
+  // to_csr preserves g.edges() order, so the edge sampler draws the same
+  // sequence through either entry point.
+  return train_line(graph::to_csr(g), config);
 }
 
 EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config) {
@@ -284,8 +259,7 @@ EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config) {
     noise[v] = std::pow(g.weighted_degree(static_cast<std::uint32_t>(v)),
                         config.noise_power);
   }
-  TrainContext ctx{g.edge_u(),           g.edge_v(),        g.vertex_count(), config,
-                   AliasTable{g.edge_w()}, AliasTable{noise}, 0};
+  TrainContext ctx{pack_edge_buckets(g), AliasTable{noise}, g.vertex_count(), config, 0};
   ctx.steps = config.total_samples != 0 ? config.total_samples
                                         : config.samples_per_edge * g.edge_count();
   ctx.steps = std::max<std::size_t>(ctx.steps, 1);
@@ -306,8 +280,16 @@ EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config) {
   } else {
     const std::size_t first_dim = config.dimension / 2;
     const std::size_t second_dim = config.dimension - first_dim;
+    // The objectives share nothing mutable: each has its own rows and seeds,
+    // so training them concurrently cannot change a bit of the output.
+    std::future<std::vector<float>> second;
+    if (effective_threads(config) == 2) {
+      second = std::async(std::launch::async,
+                          [&] { return train_order(ctx, second_dim, true); });
+    }
     write_block(train_order(ctx, first_dim, false), first_dim, 0);
-    write_block(train_order(ctx, second_dim, true), second_dim, first_dim);
+    write_block(second.valid() ? second.get() : train_order(ctx, second_dim, true),
+                second_dim, first_dim);
   }
   if (config.normalize_output) out.l2_normalize();
   return out;

@@ -46,11 +46,11 @@ struct LineConfig {
   /// vertex degrees (0.75 from word2vec/LINE).
   double noise_power = 0.75;
 
-  /// Logical SGD lanes (deterministic batch-synchronous parallelism). The
-  /// trained embedding is bit-identical for every value: samples draw from
-  /// counter-based per-step seeds and batched updates are applied at
-  /// barriers in global step order per destination row, so this knob only
-  /// changes throughput. OS workers are capped at the hardware thread count.
+  /// 1 trains on the calling thread. 0 or >= 2 trains the two kBoth
+  /// objectives concurrently, one thread each; kFirst/kSecond always use
+  /// one thread. The objectives share no mutable state (each has its own
+  /// rows and seeds), so the trained embedding is bit-identical for every
+  /// value and this knob only changes wall time.
   std::size_t threads = 1;
 
   std::uint64_t seed = 1;
@@ -59,6 +59,10 @@ struct LineConfig {
   /// feeding classifiers).
   bool normalize_output = true;
 };
+
+/// OS threads train_line uses for this config: 2 when kBoth's objectives
+/// train concurrently, otherwise 1.
+std::size_t effective_threads(const LineConfig& config) noexcept;
 
 /// Train LINE on a weighted undirected graph. Isolated vertices receive a
 /// zero vector (nothing can be learned for them). Throws
@@ -69,10 +73,10 @@ struct LineConfig {
 EmbeddingMatrix train_line(const graph::WeightedGraph& g, const LineConfig& config);
 
 /// Train LINE directly on a CSR arena graph — the zero-copy pipeline path:
-/// the edge sampler indexes the contiguous edge struct-of-arrays straight
-/// out of the mapped artifact, and the noise distribution reads the
-/// precomputed weighted-degree section, so no per-vertex allocations or
-/// re-parse happen between artifact load and the first SGD step.
+/// the edge sampler is packed straight from the mapped artifact's edge
+/// sections, and the noise distribution reads the precomputed
+/// weighted-degree section, so no per-vertex allocations or re-parse happen
+/// between artifact load and the first SGD step.
 EmbeddingMatrix train_line(const util::CsrGraph& g, const LineConfig& config);
 
 }  // namespace dnsembed::embed

@@ -1,6 +1,6 @@
-// Fixed-size thread pool with a parallel_for helper, used by the LINE
-// trainer (per-worker RNG streams), the sharded one-mode projection engine
-// (graph/projection.cpp), and the SVM kernel-fill / batch-scoring paths
+// Fixed-size thread pool with a parallel_for helper, used by the sharded
+// one-mode projection engine (graph/projection.cpp), the sketched backend
+// (graph/sketch.cpp), and the SVM kernel-fill / batch-scoring paths
 // (ml/svm.cpp) to spread work across cores.
 //
 // Determinism contract: parallel_for splits [begin, end) into at most

@@ -5,6 +5,7 @@
 // container back to its original bytes, load the original value. No crash,
 // no silent misload, no other exception type.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <functional>
@@ -69,7 +70,11 @@ void fuzz_loader(const std::string& name, const std::string& pristine,
 }
 
 std::string artifact_bytes_of(const std::function<void(const std::string&)>& save) {
-  const auto path = (fs::temp_directory_path() / "dnsembed_fuzz_seed.art").string();
+  // Per-process name: ctest -j runs each case as its own process, and a
+  // shared seed file let one case read (or delete) another's bytes.
+  const auto path = (fs::temp_directory_path() /
+                     ("dnsembed_fuzz_seed." + std::to_string(::getpid()) + ".art"))
+                        .string();
   save(path);
   auto bytes = util::fsio::read_file(path);
   fs::remove(path);

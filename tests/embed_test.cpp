@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "embed/alias.hpp"
@@ -62,6 +63,31 @@ TEST(Alias, RejectsInvalidWeights) {
   EXPECT_THROW((AliasTable{std::vector<double>{}}), std::invalid_argument);
   EXPECT_THROW((AliasTable{std::vector<double>{0.0, 0.0}}), std::invalid_argument);
   EXPECT_THROW((AliasTable{std::vector<double>{1.0, -1.0}}), std::invalid_argument);
+}
+
+TEST(Alias, RejectsNonFiniteWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A NaN weight used to sample uniformly and an inf weight used to win
+  // every draw; both must be refused up front.
+  EXPECT_THROW((AliasTable{std::vector<double>{1.0, nan, 2.0}}), std::invalid_argument);
+  EXPECT_THROW((AliasTable{std::vector<double>{nan}}), std::invalid_argument);
+  EXPECT_THROW((AliasTable{std::vector<double>{1.0, inf}}), std::invalid_argument);
+  EXPECT_THROW((AliasTable{std::vector<double>{-inf, 1.0}}), std::invalid_argument);
+  // Finite weights whose sum overflows cannot be normalized either.
+  EXPECT_THROW((AliasTable{std::vector<double>{1e308, 1e308}}), std::invalid_argument);
+}
+
+TEST(Alias, BucketAccessorsReproduceSample) {
+  const AliasTable table{{0.5, 3.0, 0.0, 1.5, 2.0}};
+  util::Rng rng{11};
+  for (int i = 0; i < 1000; ++i) {
+    util::Rng replay = rng;
+    const std::size_t bucket = replay.uniform_index(table.size());
+    const std::size_t expected =
+        replay.uniform() < table.acceptance(bucket) ? bucket : table.alias(bucket);
+    EXPECT_EQ(table.sample(rng), expected);
+  }
 }
 
 TEST(Embedding, RowAccessAndLookup) {

@@ -1,9 +1,9 @@
-// Deterministic-parallel LINE: the trained embedding must be bit-identical
-// for every thread/lane count. Sample draws come from counter-based
-// per-step seeds and batched updates are applied at barriers in global step
-// order per destination row, so config.threads may only change throughput —
+// Deterministic LINE: the trained embedding must be bit-identical for every
+// thread count. Sample draws come from counter-based per-step seeds and
+// config.threads only decides whether kBoth's two objectives (which share
+// no mutable state) train concurrently, so it may only change throughput —
 // never a single output bit. Labeled "simd;concurrency" so the TSan preset
-// exercises the batch-barrier machinery for races.
+// checks the two-objective threads for races.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -96,7 +96,7 @@ TEST(LineDeterminism, ZeroThreadsMeansAutoAndStaysBitIdentical) {
 
   config.threads = 1;
   const auto base = train_line(g, config);
-  config.threads = 0;  // one lane per hardware thread
+  config.threads = 0;  // two objectives on two threads
   const auto m = train_line(g, config);
   expect_bit_identical(base, m, "threads=0");
 }

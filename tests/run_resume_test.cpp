@@ -29,8 +29,8 @@ RunOptions small_options(const std::string& workdir) {
   config.trace.max_victims = 8;
   config.embedding_dimension = 8;
   config.embedding.line.total_samples = 50'000;
-  // Multi-lane on purpose: bit-identical resume must hold while LINE trains
-  // in parallel (deterministic batch-synchronous SGD).
+  // Threaded on purpose: bit-identical resume must hold while LINE trains
+  // its two objectives in parallel.
   config.embedding.line.threads = 4;
   config.kfold = 3;
   config.xmeans.k_min = 4;

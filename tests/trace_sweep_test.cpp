@@ -2,6 +2,7 @@
 // invariants must hold across the config space, not just at defaults.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -15,6 +16,10 @@ struct SweepCase {
   const char* name;
   TraceConfig config;
 };
+
+// Without this, gtest prints the case as raw bytes, pointer included, and
+// the discovered test names change with every build.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 TraceConfig base() {
   TraceConfig c;

@@ -35,7 +35,7 @@
 #      robustness label too, so it reruns sanitized — plus one
 #      distributed-label pass under ASan so the fork/waitpid/heartbeat
 #      paths run sanitized
-#   7. concurrency label (parallel projection, deterministic LINE barriers,
+#   7. concurrency label (parallel projection, two-objective LINE threads,
 #      sharded metrics) under ThreadSanitizer
 #
 # Usage: tools/ci_check.sh [--skip-sanitizers]

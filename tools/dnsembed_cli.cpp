@@ -128,9 +128,10 @@ commands:
              artifacts still validate and recomputes anything missing,
              corrupt, or built under a different config; final output is
              DIR/report.md. exit 4 = a stage exceeded --stage-deadline.
-             LINE SGD is bit-identical for every --line-threads value
-             [0 = one per core], so parallel embedding keeps resumed
-             reports byte-identical.
+             --line-threads 1 trains LINE's two objectives one after
+             the other; 0 [default] or N >= 2 trains them on two
+             threads. The embeddings are bit-identical either way, so
+             resumed reports stay byte-identical.
              --workers N >= 1 forks supervised worker processes: projection
              pair-shards and per-channel LINE training run in children that
              exchange results only through checksummed artifacts, with
@@ -1285,10 +1286,10 @@ int cmd_run(const util::ArgParser& args) {
   config.embedding_dimension = static_cast<std::size_t>(args.get_int_or("--dim", 24));
   config.embedding.line.total_samples =
       static_cast<std::size_t>(args.get_int_or("--samples", 2'000'000));
-  // LINE's batch-synchronous SGD is bit-identical for every lane count
-  // (counter-based per-sample seeds + fixed-order barrier application), so
-  // the resumable runner's byte-identical-report promise no longer requires
-  // a single-threaded embedding stage.
+  // LINE's output is bit-identical for every thread setting (the two
+  // objectives share no mutable state), so the resumable runner's
+  // byte-identical-report promise does not require a single-threaded
+  // embedding stage.
   config.embedding.line.threads =
       static_cast<std::size_t>(args.get_int_or("--line-threads", 0));
   if (const int rc =
