@@ -6,16 +6,23 @@
 // count, even through retries") gated as an executable check, with the
 // wall times and restart counters recorded for trend-watching.
 //
-// No timing gate: worker count trades latency for isolation on this box's
-// core count, so the numbers are informational. Results land in
-// BENCH_run.json (override with DNSEMBED_BENCH_JSON); DNSEMBED_BENCH_SMOKE=1
-// shrinks the trace for CI.
+// Full mode also gates the supervisor's overhead: workers=1 runs the same
+// task list as the inline executor, one forked child at a time, so it must
+// finish within 2x the single-process wall (heartbeats wake on task
+// completion, so a task costs its own wall time, not a heartbeat tick).
+// The smoke has no timing gate. Each row records the box's nproc and
+// LINE's effective thread count. Results land in BENCH_run.json (override
+// with DNSEMBED_BENCH_JSON); DNSEMBED_BENCH_SMOKE=1 shrinks the trace for
+// CI.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "core/run.hpp"
+#include "embed/line.hpp"
 #include "util/fsio.hpp"
 #include "util/stopwatch.hpp"
 
@@ -58,6 +65,9 @@ RunResult timed_run(const core::RunOptions& options) {
 
 }  // namespace
 
+/// Full-mode gate: workers=1 wall over single-process wall.
+constexpr double kMaxWorkers1Ratio = 2.0;
+
 int main() {
   const bool smoke = std::getenv("DNSEMBED_BENCH_SMOKE") != nullptr;
   const char* json_path = std::getenv("DNSEMBED_BENCH_JSON");
@@ -99,11 +109,18 @@ int main() {
     std::fprintf(stderr, "micro_run: cannot write %s\n", json_path);
     return 1;
   }
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t effective_threads =
+      embed::effective_threads(base_options(scratch, smoke).config.embedding.line);
+  const double workers1_ratio = w1.wall_ms / reference.wall_ms;
   std::fprintf(out,
                "{\n"
                "  \"smoke\": %s,\n"
+               "  \"nproc\": %u,\n"
+               "  \"effective_threads\": %zu,\n"
                "  \"single_process_ms\": %.1f,\n"
                "  \"workers1_ms\": %.1f,\n"
+               "  \"workers1_ratio\": %.2f,\n"
                "  \"workers1_tasks_run\": %zu,\n"
                "  \"workers1_restarts\": %zu,\n"
                "  \"workers1_report_identical\": %s,\n"
@@ -113,7 +130,8 @@ int main() {
                "  \"workers4_crashes\": %zu,\n"
                "  \"workers4_report_identical\": %s\n"
                "}\n",
-               smoke ? "true" : "false", reference.wall_ms, w1.wall_ms,
+               smoke ? "true" : "false", nproc, effective_threads, reference.wall_ms,
+               w1.wall_ms, workers1_ratio,
                w1.summary.supervision.tasks_run,
                w1.summary.supervision.restarts, w1_identical ? "true" : "false",
                w4.wall_ms, w4.summary.supervision.tasks_run,
@@ -123,16 +141,24 @@ int main() {
 
   std::printf("wrote %s\n", json_path);
   std::printf(
-      "single-process %.0f ms; workers=1 %.0f ms (%zu tasks); workers=4 with "
-      "crash injection %.0f ms (%zu restarts)\n",
-      reference.wall_ms, w1.wall_ms, w1.summary.supervision.tasks_run,
-      w4.wall_ms, w4.summary.supervision.restarts);
+      "single-process %.0f ms; workers=1 %.0f ms (%.2fx, %zu tasks); workers=4 with "
+      "crash injection %.0f ms (%zu restarts); nproc %u, LINE effective threads %zu\n",
+      reference.wall_ms, w1.wall_ms, workers1_ratio, w1.summary.supervision.tasks_run,
+      w4.wall_ms, w4.summary.supervision.restarts, nproc, effective_threads);
+  int rc = 0;
   if (!w1_identical || !w4_identical) {
     std::fprintf(stderr,
                  "micro_run: FAIL: supervised report diverged from the "
                  "single-process reference (workers1=%s workers4=%s)\n",
                  w1_identical ? "ok" : "DIFF", w4_identical ? "ok" : "DIFF");
-    return 1;
+    rc = 1;
   }
-  return 0;
+  if (!smoke && workers1_ratio > kMaxWorkers1Ratio) {
+    std::fprintf(stderr,
+                 "micro_run: FAIL: workers=1 took %.2fx the single-process wall "
+                 "(gate: <= %.1fx)\n",
+                 workers1_ratio, kMaxWorkers1Ratio);
+    rc = 1;
+  }
+  return rc;
 }

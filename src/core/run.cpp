@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -317,34 +317,29 @@ class StageWatchdog {
   std::thread timer_;
 };
 
+// ------------------------------------------------------------ stage table
+
+/// One row of the stage table: the tasks that write the stage's artifacts,
+/// declared once for both executors, and an optional parent-side join that
+/// runs after every task finished.
+struct Stage {
+  const StageSpec& spec;
+  std::vector<WorkerTask> tasks;
+  std::function<void()> join;
+};
+
 // ---------------------------------------------------------- stage driver
 
 class StageDriver {
  public:
-  StageDriver(const RunOptions& options, Manifest manifest)
-      : options_{options}, manifest_{std::move(manifest)} {}
+  /// `supervisor` selects the executor: non-null forks each stage's tasks
+  /// under it, null runs them in order in this process.
+  StageDriver(const RunOptions& options, Manifest manifest, Supervisor* supervisor)
+      : options_{options}, manifest_{std::move(manifest)}, supervisor_{supervisor} {}
 
-  /// Record a just-committed artifact's digest, fire the test hooks, and
-  /// poll the deadline.
-  void committed(const char* file, StageWatchdog& watchdog) {
-    const auto path = join(options_.workdir, file);
-    pending_.push_back({file, file_digest(util::fsio::read_file(path))});
-    if (!options_.crash_after_artifact.empty() && options_.crash_after_artifact == file) {
-      util::log_warn() << "run: crash hook firing after " << file;
-      std::_Exit(137);
-    }
-    if (!options_.expire_deadline_after_artifact.empty() &&
-        options_.expire_deadline_after_artifact == file) {
-      util::log_warn() << "run: deadline hook firing after " << file;
-      watchdog.force_expire();
-    }
-    watchdog.check();
-  }
-
-  /// Run or skip one stage. `body` receives (watchdog) and must commit every
-  /// artifact in the stage's spec via committed().
-  void stage(const StageSpec& spec, RunSummary& summary,
-             const std::function<void(StageWatchdog&)>& body) {
+  /// Run or skip one stage.
+  void stage(const Stage& stage, RunSummary& summary) {
+    const StageSpec& spec = stage.spec;
     util::Stopwatch watch;
     if (const auto* record = reusable_record(spec.name)) {
       if (stage_artifacts_valid(options_.workdir, *record, spec)) {
@@ -369,7 +364,7 @@ class StageDriver {
     watchdog.check();
     pending_.clear();
     try {
-      body(watchdog);
+      execute(stage, watchdog);
     } catch (...) {
       // Mid-stage abort (deadline, I/O failure, supervisor giving up):
       // persist the completed-stage prefix so the on-disk manifest always
@@ -395,16 +390,52 @@ class StageDriver {
 
   std::string config_hash() const { return hash_pipeline_config(options_.config); }
 
-  /// Record shard tasks quarantined by the supervisor during the current
-  /// stage; they appear in every manifest written from now on.
-  void add_quarantined(const std::vector<std::string>& tasks) {
-    quarantined_.insert(quarantined_.end(), tasks.begin(), tasks.end());
-    std::sort(quarantined_.begin(), quarantined_.end());
-  }
-
+  /// Sorted names of the shard tasks quarantined so far (this run's and
+  /// those carried forward from resumed stages).
   const std::vector<std::string>& quarantined() const noexcept { return quarantined_; }
 
  private:
+  /// Run the stage's tasks on the executor, then its join, then commit
+  /// every artifact of its spec in spec order. This is the only commit
+  /// path, so the crash and deadline test hooks fire here for both
+  /// executors.
+  void execute(const Stage& stage, StageWatchdog& watchdog) {
+    const auto check = [&watchdog] { watchdog.check(); };
+    if (supervisor_ != nullptr) {
+      const std::size_t before = supervisor_->stats().quarantined.size();
+      supervisor_->run_tasks(stage.tasks, check);
+      const auto& all = supervisor_->stats().quarantined;
+      quarantined_.insert(quarantined_.end(),
+                          all.begin() + static_cast<std::ptrdiff_t>(before), all.end());
+      std::sort(quarantined_.begin(), quarantined_.end());
+    } else {
+      for (const auto& task : stage.tasks) {
+        check();
+        obs::Span task_span{task.name.c_str()};
+        task.body(check);
+      }
+    }
+    if (stage.join) stage.join();
+    for (const auto& artifact : stage.spec.artifacts) committed(artifact.file, watchdog);
+  }
+
+  /// Record a just-committed artifact's digest, fire the test hooks, and
+  /// poll the deadline.
+  void committed(const char* file, StageWatchdog& watchdog) {
+    const auto path = join(options_.workdir, file);
+    pending_.push_back({file, file_digest(util::fsio::read_file(path))});
+    if (!options_.crash_after_artifact.empty() && options_.crash_after_artifact == file) {
+      util::log_warn() << "run: crash hook firing after " << file;
+      std::_Exit(137);
+    }
+    if (!options_.expire_deadline_after_artifact.empty() &&
+        options_.expire_deadline_after_artifact == file) {
+      util::log_warn() << "run: deadline hook firing after " << file;
+      watchdog.force_expire();
+    }
+    watchdog.check();
+  }
+
   /// The previous run's record for this stage, when resume applies to it.
   const StageRecord* reusable_record(const char* name) const {
     if (!options_.resume) return nullptr;
@@ -436,37 +467,43 @@ class StageDriver {
 
   const RunOptions& options_;
   Manifest manifest_;                  // from the previous run (may be empty)
+  Supervisor* supervisor_;             // null = inline executor
   std::vector<StageRecord> completed_; // this run, in order
   std::vector<ManifestEntry> pending_; // artifacts of the stage in flight
   std::vector<std::string> quarantined_;  // sorted quarantined task names
 };
 
-// ------------------------------------------------- supervised stage work
+// ------------------------------------------------------------ stage work
 
-/// One projection channel of the behavior stage.
+/// One similarity channel: its bipartite input, similarity CSR and
+/// embedding artifacts, and its projection options. The row index is the
+/// channel's LINE seed offset (seed, seed+1, seed+2 as in run_pipeline).
 struct ChannelSpec {
-  const char* name;        // task-name component ("behavior.<name>.s<k>")
-  const char* input;       // bipartite input artifact
-  const char* final_file;  // merged similarity CSR artifact
+  const char* name;       // task-name component ("behavior.<name>.s<k>", "embed.<name>")
+  const char* input;      // bipartite input artifact
+  const char* csr;        // similarity CSR artifact
+  const char* embedding;  // embedding arena artifact
+  graph::ProjectionOptions BehaviorModelConfig::*projection;
 };
 
 constexpr ChannelSpec kChannels[] = {
-    {"query", "hdbg.bg", "query_sim.csr"},
-    {"ip", "dibg.bg", "ip_sim.csr"},
-    {"temporal", "dtbg.bg", "temporal_sim.csr"},
+    {"query", "hdbg.bg", "query_sim.csr", "query.emb", &BehaviorModelConfig::query_projection},
+    {"ip", "dibg.bg", "ip_sim.csr", "ip.emb", &BehaviorModelConfig::ip_projection},
+    {"temporal", "dtbg.bg", "temporal_sim.csr", "temporal.emb",
+     &BehaviorModelConfig::temporal_projection},
 };
 
-/// The channel's bipartite graph after the paper's pruning rules — exactly
-/// the graph build_behavior_model projects. Each shard worker recomputes
-/// this independently from the trace artifacts (workers share no memory);
-/// the pruning is deterministic, so every shard filters the identical
-/// vertex set.
+/// The channel's bipartite graph after the paper's pruning rules (defined
+/// on host behavior, i.e. on the HDBG). Each projection task recomputes
+/// this independently from the trace artifacts (forked workers share no
+/// memory); the pruning is deterministic, so every task filters the
+/// identical vertex set.
 graph::BipartiteGraph pruned_channel_graph(const std::string& workdir,
                                            const ChannelSpec& channel,
                                            const PipelineConfig& config) {
   auto hdbg = graph::load_bipartite_file(join(workdir, "hdbg.bg"));
   const auto keep_mask = graph::right_degree_keep_mask(hdbg, config.behavior.prune);
-  if (std::string_view{channel.name} == "query") return hdbg.filter_right(keep_mask);
+  if (std::string_view{channel.input} == "hdbg.bg") return hdbg.filter_right(keep_mask);
   std::unordered_set<std::string> kept;
   for (graph::VertexId r = 0; r < hdbg.right_count(); ++r) {
     if (keep_mask[r]) kept.insert(hdbg.right_names().name(r));
@@ -479,28 +516,14 @@ graph::BipartiteGraph pruned_channel_graph(const std::string& workdir,
   return g.filter_right(mask);
 }
 
-/// The channel's projection options with the run-level knobs applied, as
-/// the in-process path does in its behavior stage.
-graph::ProjectionOptions channel_projection(const PipelineConfig& config,
-                                            const ChannelSpec& channel) {
-  const std::string_view name{channel.name};
-  graph::ProjectionOptions proj = name == "query" ? config.behavior.query_projection
-                                  : name == "ip" ? config.behavior.ip_projection
-                                                 : config.behavior.temporal_projection;
-  proj.threads = config.projection_threads;
-  proj.mode = config.projection_mode;
-  proj.sketch = config.sketch;
-  return proj;
-}
-
 /// Deterministic size-aware merge of per-shard partial projections into the
 /// channel's final CSR. Shards partition the PAIR space disjointly and each
 /// emits exact similarities over the full vertex set, so the merged edge
 /// list is the concatenation (reserved to total size up front), and one
 /// global (u, v) sort reproduces the exact emission order of an unsharded
-/// projection — the merged artifact is byte-identical to a single-process
-/// run. Quarantined shards are simply absent: their pairs are missing and
-/// the report is flagged as partial.
+/// projection — the merged artifact is byte-identical to a one-shard run.
+/// Quarantined shards are simply absent: their pairs are missing and the
+/// report is flagged as partial.
 void merge_channel_shards(const std::string& workdir, const ChannelSpec& channel,
                           const PipelineConfig& config,
                           const std::vector<std::string>& partial_paths) {
@@ -538,10 +561,11 @@ void merge_channel_shards(const std::string& workdir, const ChannelSpec& channel
     }
   }
   for (const auto& e : edges) merged.add_edge_unchecked(e.u, e.v, e.weight);
-  graph::save_csr_file(join(workdir, channel.final_file), merged);
+  graph::save_csr_file(join(workdir, channel.csr), merged);
 }
 
-/// Labels-stage work, shared by the in-process path and the worker child.
+/// Labels-stage work: ground truth + simulated VirusTotal over the kept
+/// domains.
 void write_labels_file(const std::string& workdir, const PipelineConfig& config,
                        const std::function<void()>& checkpoint) {
   const auto truth = trace::load_ground_truth_file(join(workdir, "truth.gt"));
@@ -554,9 +578,10 @@ void write_labels_file(const std::string& workdir, const PipelineConfig& config,
                            intel::build_labeled_set(kept, truth, vt, config.labeling));
 }
 
-/// Report-stage work, shared by the in-process path and the worker child.
-/// `quarantined` non-empty appends a degraded-run section, so a clean
-/// supervised run emits byte-identical bytes to the single-process path.
+/// Report-stage work: per-channel SVM evaluation + clustering over the
+/// persisted artifacts only (nothing carried in memory from earlier
+/// stages). `quarantined` non-empty appends a degraded-run section, so a
+/// clean supervised run emits byte-identical bytes to an inline one.
 void write_report_file(const std::string& workdir, const PipelineConfig& config,
                        const std::vector<std::string>& quarantined,
                        const std::function<void()>& checkpoint) {
@@ -649,276 +674,172 @@ RunSummary run_resumable(const RunOptions& options) {
   if (options.resume) {
     if (auto loaded = try_load_manifest(options.workdir)) previous = std::move(*loaded);
   }
-  StageDriver driver{options, std::move(previous)};
+  std::optional<Supervisor> supervisor;
+  if (options.supervise.workers > 0) {
+    supervisor.emplace(options.workdir, options.supervise);
+    supervisor->reset_scratch(hash_pipeline_config(options.config), options.resume);
+  }
+  StageDriver driver{options, std::move(previous), supervisor ? &*supervisor : nullptr};
   const auto& specs = stage_specs();
   const auto path = [&](const char* file) { return join(options.workdir, file); };
-
-  RunSummary summary;
-  summary.report_path = path("report.md");
+  /// Every artifact of a stage, for a task that writes them all.
+  const auto spec_outputs = [&](const StageSpec& spec) {
+    std::vector<WorkerTask::Output> outputs;
+    for (const auto& artifact : spec.artifacts) {
+      outputs.push_back({path(artifact.file), artifact.kind});
+    }
+    return outputs;
+  };
   const PipelineConfig& config = options.config;
+  using Checkpoint = std::function<void()>;
 
-  const bool supervised = options.supervise.workers > 0;
-  std::optional<Supervisor> supervisor;
-  if (supervised) {
-    supervisor.emplace(options.workdir, options.supervise);
-    supervisor->reset_scratch(driver.config_hash(), options.resume);
-  }
-  /// Commit every artifact of a supervised stage, in spec order (the
-  /// supervisor already validated the workers' output containers).
-  const auto commit_all = [&](const StageSpec& spec, StageWatchdog& watchdog) {
-    for (const auto& artifact : spec.artifacts) driver.committed(artifact.file, watchdog);
+  // Projection pair-shards per channel. Inline, sketched (not
+  // pair-shardable) and --shards 1 runs have one shard, which writes the
+  // channel's final CSR itself; more shards write partials under sv/ that
+  // the behavior join merges.
+  const std::size_t shard_count =
+      !supervisor || config.projection_mode == graph::ProjectionMode::kSketched
+          ? 1
+          : std::max<std::size_t>(1, options.supervise.projection_shards);
+  const auto shard_task = [](const ChannelSpec& channel, std::size_t s) {
+    return std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
   };
-  const auto poll_for = [](StageWatchdog& watchdog) {
-    return [&watchdog] { watchdog.check(); };
+  const auto shard_file = [&](const ChannelSpec& channel, std::size_t s) {
+    return shard_count == 1 ? path(channel.csr)
+                            : supervisor->scratch_path(std::string{channel.name} + ".s" +
+                                                       std::to_string(s) + ".csr");
   };
+
+  std::vector<Stage> stages;
 
   // trace: synthesize the campus capture into the three bipartite graphs
   // plus the ground-truth registry.
-  driver.stage(specs[0], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      WorkerTask task;
-      task.name = "trace";
-      for (const auto& artifact : specs[0].artifacts) {
-        task.outputs.push_back({path(artifact.file), artifact.kind});
-      }
-      task.body = [&path, &config] {
-        GraphBuilderSink graphs;
-        const auto trace_result = trace::generate_trace(config.trace, graphs);
-        graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
-        graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
-        graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
-        trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
-        util::save_artifact(path("trace.stats"), "trace-stats",
-                            trace_stats_payload({trace_result.dns_events,
-                                                 trace_result.nxdomain_events,
-                                                 trace_result.flow_events}));
-      };
-      supervisor->run_tasks({task}, poll_for(watchdog));
-      commit_all(specs[0], watchdog);
-      return;
-    }
-    GraphBuilderSink graphs;
-    const auto trace_result = trace::generate_trace(config.trace, graphs);
-    watchdog.check();
-    graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
-    driver.committed("hdbg.bg", watchdog);
-    graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
-    driver.committed("dibg.bg", watchdog);
-    graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
-    driver.committed("dtbg.bg", watchdog);
-    trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
-    driver.committed("truth.gt", watchdog);
-    util::save_artifact(path("trace.stats"), "trace-stats",
-                        trace_stats_payload({trace_result.dns_events,
-                                             trace_result.nxdomain_events,
-                                             trace_result.flow_events}));
-    driver.committed("trace.stats", watchdog);
-  });
+  stages.push_back({specs[0],
+                    {{.name = "trace",
+                      .outputs = spec_outputs(specs[0]),
+                      .body = [&](const Checkpoint& checkpoint) {
+                        GraphBuilderSink graphs;
+                        const auto trace_result = trace::generate_trace(config.trace, graphs);
+                        checkpoint();
+                        graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
+                        graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
+                        graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
+                        trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
+                        util::save_artifact(path("trace.stats"), "trace-stats",
+                                            trace_stats_payload({trace_result.dns_events,
+                                                                 trace_result.nxdomain_events,
+                                                                 trace_result.flow_events}));
+                      }}},
+                    {}});
 
-  // behavior: prune + project the reloaded bipartite graphs. Supervised,
-  // the projection fans out as pair-hash shard tasks per channel whose
-  // partial CSRs the parent merges deterministically; quarantined shards
-  // leave their pairs out and flag the run.
-  driver.stage(specs[1], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      const std::size_t shard_count =
-          config.projection_mode == graph::ProjectionMode::kSketched
-              ? 1
-              : std::max<std::size_t>(1, options.supervise.projection_shards);
-      std::vector<WorkerTask> tasks;
-      {
-        WorkerTask prune;
-        prune.name = "behavior.prune";
-        prune.outputs.push_back({path("kept.domains"), "domain-list"});
-        prune.body = [&options, &path, &config] {
-          const auto pruned = pruned_channel_graph(options.workdir, kChannels[0], config);
-          std::vector<std::string> kept;
-          kept.reserve(pruned.right_count());
-          for (graph::VertexId r = 0; r < pruned.right_count(); ++r) {
-            kept.push_back(pruned.right_names().name(r));
-          }
-          util::save_artifact(path("kept.domains"), "domain-list",
-                              domain_list_payload(kept));
-        };
-        tasks.push_back(std::move(prune));
-      }
-      for (const auto& channel : kChannels) {
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          WorkerTask task;
-          task.name = std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
-          task.quarantinable = true;
-          task.reusable = true;
-          const auto partial = supervisor->scratch_path(std::string{channel.name} + ".s" +
-                                                        std::to_string(s) + ".csr");
-          task.outputs.push_back({partial, "csr-graph"});
-          task.body = [&options, &config, channel, s, shard_count, partial] {
-            auto proj = channel_projection(config, channel);
-            proj.pair_shard_index = s;
-            proj.pair_shard_count = shard_count;
-            const auto pruned = pruned_channel_graph(options.workdir, channel, config);
-            graph::save_csr_file(partial, graph::project_right(pruned, proj));
-          };
-          tasks.push_back(std::move(task));
+  // behavior: prune + project the reloaded bipartite graphs, one task per
+  // channel pair-shard. Quarantined shards leave their pairs out and flag
+  // the run.
+  stages.push_back({specs[1], {}, {}});
+  stages.back().tasks.push_back(
+      {.name = "behavior.prune",
+       .outputs = {{path("kept.domains"), "domain-list"}},
+       .body = [&](const Checkpoint&) {
+         const auto pruned = pruned_channel_graph(options.workdir, kChannels[0], config);
+         std::vector<std::string> kept;
+         kept.reserve(pruned.right_count());
+         for (graph::VertexId r = 0; r < pruned.right_count(); ++r) {
+           kept.push_back(pruned.right_names().name(r));
+         }
+         util::save_artifact(path("kept.domains"), "domain-list", domain_list_payload(kept));
+       }});
+  for (const auto& channel : kChannels) {
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      const auto file = shard_file(channel, s);
+      // Only sv/ partials are reusable: the scratch config hash gates them,
+      // while final artifacts are reused at stage granularity.
+      stages.back().tasks.push_back(
+          {.name = shard_task(channel, s),
+           .quarantinable = true,
+           .reusable = shard_count > 1,
+           .outputs = {{file, "csr-graph"}},
+           .body = [&, channel, file, s](const Checkpoint& checkpoint) {
+             graph::ProjectionOptions proj = config.behavior.*channel.projection;
+             proj.threads = config.projection_threads;
+             proj.mode = config.projection_mode;
+             proj.sketch = config.sketch;
+             proj.pair_shard_index = s;
+             proj.pair_shard_count = shard_count;
+             const auto pruned = pruned_channel_graph(options.workdir, channel, config);
+             checkpoint();
+             graph::save_csr_file(file, graph::project_right(pruned, proj));
+           }});
+    }
+  }
+  stages.back().join = [&] {
+    const auto& quarantined = driver.quarantined();
+    for (const auto& channel : kChannels) {
+      std::vector<std::string> partials;
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        if (!std::binary_search(quarantined.begin(), quarantined.end(),
+                                shard_task(channel, s))) {
+          partials.push_back(shard_file(channel, s));
         }
       }
-      const std::size_t quarantined_before = supervisor->stats().quarantined.size();
-      supervisor->run_tasks(tasks, poll_for(watchdog));
-      const auto& all_quarantined = supervisor->stats().quarantined;
-      driver.add_quarantined({all_quarantined.begin() +
-                                  static_cast<std::ptrdiff_t>(quarantined_before),
-                              all_quarantined.end()});
-      const std::unordered_set<std::string> quarantined(all_quarantined.begin(),
-                                                        all_quarantined.end());
-      for (const auto& channel : kChannels) {
-        std::vector<std::string> partials;
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          const auto name =
-              std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
-          if (!quarantined.contains(name)) {
-            partials.push_back(supervisor->scratch_path(std::string{channel.name} + ".s" +
-                                                        std::to_string(s) + ".csr"));
-          }
-        }
+      if (shard_count > 1 || partials.empty()) {
         merge_channel_shards(options.workdir, channel, config, partials);
       }
-      commit_all(specs[1], watchdog);
-      return;
     }
-    auto hdbg = graph::load_bipartite_file(path("hdbg.bg"));
-    auto dibg = graph::load_bipartite_file(path("dibg.bg"));
-    auto dtbg = graph::load_bipartite_file(path("dtbg.bg"));
-    watchdog.check();
-    BehaviorModelConfig behavior = config.behavior;
-    for (auto* proj : {&behavior.query_projection, &behavior.ip_projection,
-                       &behavior.temporal_projection}) {
-      proj->threads = config.projection_threads;
-      proj->mode = config.projection_mode;
-      proj->sketch = config.sketch;
-    }
-    auto model =
-        build_behavior_model(std::move(hdbg), std::move(dibg), std::move(dtbg), behavior);
-    watchdog.check();
-    util::save_artifact(path("kept.domains"), "domain-list",
-                        domain_list_payload(model.kept_domains));
-    driver.committed("kept.domains", watchdog);
-    graph::save_csr_file(path("query_sim.csr"), model.query_similarity);
-    driver.committed("query_sim.csr", watchdog);
-    graph::save_csr_file(path("ip_sim.csr"), model.ip_similarity);
-    driver.committed("ip_sim.csr", watchdog);
-    graph::save_csr_file(path("temporal_sim.csr"), model.temporal_similarity);
-    driver.committed("temporal_sim.csr", watchdog);
-  });
+  };
 
-  // embed: one embedding per similarity graph (seed, seed+1, seed+2 as in
-  // run_pipeline), then the concatenated vector. The CSR graphs are
-  // memory-mapped, not parsed: LINE's edge sampler reads the mapped
-  // sections in place. Supervised, each channel trains in its own worker
-  // (LINE is bit-deterministic at any thread count, so worker placement
-  // cannot change the arenas) and the parent concatenates.
-  driver.stage(specs[2], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      struct EmbedTaskSpec {
-        const char* channel;
-        const char* csr;
-        const char* arena;
-        std::uint64_t seed_offset;
-      };
-      static constexpr EmbedTaskSpec kEmbeds[] = {
-          {"query", "query_sim.csr", "query.emb", 0},
-          {"ip", "ip_sim.csr", "ip.emb", 1},
-          {"temporal", "temporal_sim.csr", "temporal.emb", 2},
-      };
-      std::vector<WorkerTask> tasks;
-      for (const auto& spec : kEmbeds) {
-        WorkerTask task;
-        task.name = std::string{"embed."} + spec.channel;
-        task.outputs.push_back({path(spec.arena), "embedding-arena"});
-        task.body = [&path, &config, spec] {
-          embed::EmbedConfig embed_config = config.embedding;
-          embed_config.dimension = config.embedding_dimension;
-          embed_config.seed = config.seed + spec.seed_offset;
-          embed::embed_graph(graph::load_csr_file(path(spec.csr)), embed_config)
-              .save_arena_file(path(spec.arena));
-        };
-        tasks.push_back(std::move(task));
-      }
-      supervisor->run_tasks(tasks, poll_for(watchdog));
-      const auto kept = parse_domain_list(
-          util::load_artifact(path("kept.domains"), "domain-list"), path("kept.domains"));
-      const auto query = embed::EmbeddingMatrix::load_arena_file(path("query.emb"));
-      const auto ip = embed::EmbeddingMatrix::load_arena_file(path("ip.emb"));
-      const auto temporal = embed::EmbeddingMatrix::load_arena_file(path("temporal.emb"));
-      embed::EmbeddingMatrix::concat(kept, {&query, &ip, &temporal})
-          .save_arena_file(path("combined.emb"));
-      commit_all(specs[2], watchdog);
-      return;
-    }
+  // embed: one LINE embedding per similarity graph, then the concatenated
+  // vector. The CSR graphs are memory-mapped, not parsed: LINE's edge
+  // sampler reads the mapped sections in place. LINE is bit-deterministic
+  // at any thread count, so worker placement cannot change the arenas.
+  stages.push_back({specs[2], {}, {}});
+  for (std::size_t c = 0; c < std::size(kChannels); ++c) {
+    const ChannelSpec channel = kChannels[c];
+    stages.back().tasks.push_back(
+        {.name = std::string{"embed."} + channel.name,
+         .outputs = {{path(channel.embedding), "embedding-arena"}},
+         .body = [&, channel, c](const Checkpoint& checkpoint) {
+           embed::EmbedConfig embed_config = config.embedding;
+           embed_config.dimension = config.embedding_dimension;
+           embed_config.seed = config.seed + c;
+           const auto csr = graph::load_csr_file(path(channel.csr));
+           checkpoint();
+           embed::embed_graph(csr, embed_config).save_arena_file(path(channel.embedding));
+         }});
+  }
+  stages.back().join = [&] {
     const auto kept = parse_domain_list(
         util::load_artifact(path("kept.domains"), "domain-list"), path("kept.domains"));
-    embed::EmbedConfig embed_config = config.embedding;
-    embed_config.dimension = config.embedding_dimension;
-
-    embed_config.seed = config.seed;
-    const auto query =
-        embed::embed_graph(graph::load_csr_file(path("query_sim.csr")), embed_config);
-    query.save_arena_file(path("query.emb"));
-    driver.committed("query.emb", watchdog);
-
-    embed_config.seed = config.seed + 1;
-    const auto ip =
-        embed::embed_graph(graph::load_csr_file(path("ip_sim.csr")), embed_config);
-    ip.save_arena_file(path("ip.emb"));
-    driver.committed("ip.emb", watchdog);
-
-    embed_config.seed = config.seed + 2;
-    const auto temporal =
-        embed::embed_graph(graph::load_csr_file(path("temporal_sim.csr")), embed_config);
-    temporal.save_arena_file(path("temporal.emb"));
-    driver.committed("temporal.emb", watchdog);
-
-    embed::EmbeddingMatrix::concat(kept, {&query, &ip, &temporal})
+    std::vector<embed::EmbeddingMatrix> parts;
+    for (const auto& channel : kChannels) {
+      parts.push_back(embed::EmbeddingMatrix::load_arena_file(path(channel.embedding)));
+    }
+    embed::EmbeddingMatrix::concat(kept, {&parts[0], &parts[1], &parts[2]})
         .save_arena_file(path("combined.emb"));
-    driver.committed("combined.emb", watchdog);
-  });
+  };
 
   // labels: ground truth + simulated VirusTotal over the kept domains.
-  driver.stage(specs[3], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      WorkerTask task;
-      task.name = "labels";
-      task.outputs.push_back({path("labeled.set"), "labeled-set"});
-      task.body = [&options, &config] {
-        write_labels_file(options.workdir, config, [] {});
-      };
-      supervisor->run_tasks({task}, poll_for(watchdog));
-      commit_all(specs[3], watchdog);
-      return;
-    }
-    write_labels_file(options.workdir, config, [&watchdog] { watchdog.check(); });
-    driver.committed("labeled.set", watchdog);
-  });
+  stages.push_back({specs[3],
+                    {{.name = "labels",
+                      .outputs = spec_outputs(specs[3]),
+                      .body = [&](const Checkpoint& checkpoint) {
+                        write_labels_file(options.workdir, config, checkpoint);
+                      }}},
+                    {}});
 
-  // report: per-channel SVM evaluation + clustering over the persisted
-  // artifacts only (nothing carried in memory from earlier stages).
-  driver.stage(specs[4], summary, [&](StageWatchdog& watchdog) {
-    if (supervised) {
-      WorkerTask task;
-      task.name = "report";
-      task.outputs.push_back({path("report.md"), nullptr});
-      // The quarantine list is final here: the behavior stage (the only
-      // producer of quarantinable tasks) completed before this stage.
-      task.body = [&options, &config, quarantined = driver.quarantined()] {
-        write_report_file(options.workdir, config, quarantined, [] {});
-      };
-      supervisor->run_tasks({task}, poll_for(watchdog));
-      commit_all(specs[4], watchdog);
-      return;
-    }
-    write_report_file(options.workdir, config, driver.quarantined(),
-                      [&watchdog] { watchdog.check(); });
-    driver.committed("report.md", watchdog);
-  });
+  // report: the quarantine list is final when this body runs, since the
+  // behavior stage (the only producer of quarantinable tasks) is done.
+  stages.push_back({specs[4],
+                    {{.name = "report",
+                      .outputs = spec_outputs(specs[4]),
+                      .body = [&](const Checkpoint& checkpoint) {
+                        write_report_file(options.workdir, config, driver.quarantined(),
+                                          checkpoint);
+                      }}},
+                    {}});
 
+  RunSummary summary;
+  summary.report_path = path("report.md");
+  for (const auto& stage : stages) driver.stage(stage, summary);
   if (supervisor) summary.supervision = supervisor->stats();
   summary.quarantined = driver.quarantined();
   return summary;

@@ -5,11 +5,18 @@
 // hash; `--resume` skips stages whose artifacts still validate and re-runs
 // anything missing, corrupt, or built under a different config.
 //
+// The stages are one table: each declares its worker tasks once (name,
+// outputs, body), plus an optional parent-side join (the projection shard
+// merge, the embedding concatenation). supervise.workers picks the
+// executor — 0 runs the tasks in order in this process, >= 1 forks them
+// under the Supervisor — and either way the stage then commits its
+// artifacts through one commit path.
+//
 // Every stage boundary is a disk round-trip even on a fresh run (a stage
 // always loads its inputs from the previous stage's artifacts), so an
 // interrupted run resumed later produces a bit-identical report to an
 // uninterrupted one by construction — there is no separate in-memory fast
-// path to diverge from.
+// path, and no second copy of any stage, to diverge from.
 #pragma once
 
 #include <stdexcept>
@@ -47,11 +54,12 @@ struct RunOptions {
   /// for the resumability regression test. Empty = disabled.
   std::string expire_deadline_after_artifact;
 
-  /// Multi-process orchestration. supervise.workers == 0 (default) keeps
-  /// the single-process path; >= 1 forks stage work out to supervised
-  /// worker processes (projection pair-shards, per-channel LINE training)
+  /// Executor choice. supervise.workers == 0 (default) runs every stage's
+  /// tasks in order in this process, with one projection shard per
+  /// channel; >= 1 forks the same tasks (projection pair-shards,
+  /// per-channel LINE training, ...) out to supervised worker processes
   /// that exchange results only through checksummed artifacts, so the
-  /// report is bit-identical to a single-process run at any worker count.
+  /// report is bit-identical to the inline run at any worker count.
   /// Workers also write telemetry sidecars (obs/sidecar.hpp) that the
   /// supervisor merges, so --metrics-out/--trace-out see the whole process
   /// tree, and supervise.status_path enables the live --status-out file.

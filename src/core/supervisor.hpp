@@ -6,11 +6,14 @@
 // degrades to a partial-but-flagged report instead of dying.
 //
 // The supervisor is deliberately ignorant of pipeline semantics: it runs
-// WorkerTasks — a name, a child-side body, and the list of artifact files
-// the body must leave behind. core/run builds the task lists (projection
-// shards, per-channel LINE training, ...) and performs the deterministic
-// merges between stages; workers exchange results exclusively through the
-// checksummed artifact container, never through memory.
+// WorkerTasks — a name, a body, and the list of artifact files the body
+// must leave behind. core/run declares each stage's tasks once (projection
+// shards, per-channel LINE training, ...), runs them either here or inline
+// in its own process, and performs the deterministic merges between
+// stages; workers exchange results exclusively through the checksummed
+// artifact container, never through memory. Each worker's heartbeat
+// thread wakes as soon as the body returns, so a task's wall time is its
+// own, not rounded up to the heartbeat interval.
 //
 // Every supervision event flows through the obs registry:
 //   supervisor.restarts / .crashes / .hangs_killed / .corrupt_outputs
@@ -37,7 +40,7 @@ namespace dnsembed::core {
 
 struct SupervisorOptions {
   /// Worker processes to run concurrently. 0 disables the supervisor: the
-  /// runner executes every stage in-process exactly as before.
+  /// runner executes the same task list in order in its own process.
   std::size_t workers = 0;
 
   /// Retries per task after its first attempt; a task failing
@@ -117,8 +120,12 @@ struct WorkerTask {
   };
   std::vector<Output> outputs;
 
-  /// Runs in the forked child. Throwing makes the attempt a failure.
-  std::function<void()> body;
+  /// The task's work. Throwing makes the attempt a failure. `checkpoint`
+  /// is a cooperative cancellation point the body calls between substeps:
+  /// run in-process it polls the stage deadline (and may throw); in a
+  /// forked child it is a no-op, because the supervisor's poll already
+  /// enforces the deadline there.
+  std::function<void(const std::function<void()>& checkpoint)> body;
 };
 
 /// A non-quarantinable task exhausted its retry budget (or could not be

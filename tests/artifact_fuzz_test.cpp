@@ -104,20 +104,6 @@ TEST(ArtifactFuzz, BipartiteGraph) {
               [](const std::string& p) { (void)graph::load_bipartite_file(p); });
 }
 
-TEST(ArtifactFuzz, Embedding) {
-  embed::EmbeddingMatrix m{{"alpha.test", "beta.test", "gamma.test"}, 4};
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    auto row = m.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      row[j] = static_cast<float>(i) - 0.25f * static_cast<float>(j);
-    }
-  }
-  const auto pristine =
-      artifact_bytes_of([&](const std::string& p) { m.save_file(p); });
-  fuzz_loader("embedding", pristine,
-              [](const std::string& p) { (void)embed::EmbeddingMatrix::load_file(p); });
-}
-
 TEST(ArtifactFuzz, CsrGraphArena) {
   // Binary mmap-loaded arena ("csr-graph"): damage must be caught by the
   // container digest or the arena's structural validation, never by a

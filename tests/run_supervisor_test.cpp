@@ -1,10 +1,11 @@
-// Supervised (multi-process) runner: at any worker count the report must be
-// byte-identical to the single-process run; injected worker crashes, hangs,
-// and garbage outputs must be detected, retried, and still converge on the
-// same bytes; a shard task that exhausts its retry budget must be
-// quarantined (degraded report + manifest row) and the quarantine must
-// survive --resume; a mid-stage deadline hit must leave the workdir
-// resumable to an identical report.
+// Supervised (multi-process) runner: at any worker and shard count the
+// report must be byte-identical to the inline (workers = 0) run; injected
+// worker crashes, hangs, and garbage outputs must be detected, retried, and
+// still converge on the same bytes; a shard task that exhausts its retry
+// budget must be quarantined (degraded report + manifest row) and the
+// quarantine must survive --resume; a mid-stage deadline hit must leave the
+// workdir resumable to an identical report; a worker's task must finish
+// without waiting out its heartbeat tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +13,14 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/run.hpp"
+#include "core/supervisor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/fsio.hpp"
@@ -55,10 +59,13 @@ RunOptions supervised_options(const std::string& workdir) {
   return options;
 }
 
-// With projection_shards = 2 the supervised run decomposes into exactly
-// 13 tasks: trace, behavior.prune, 3 channels x 2 projection shards,
-// 3 per-channel embeds, labels, report.
-constexpr std::size_t kTaskCount = 13;
+// A supervised run decomposes into trace, behavior.prune, 3 channels x
+// `shards` projection shards, 3 per-channel embeds, labels and report.
+constexpr std::size_t task_count(std::size_t shards) { return 7 + 3 * shards; }
+
+// supervised_options() uses 2 shards: 13 tasks.
+constexpr std::size_t kTaskCount = task_count(2);
+static_assert(kTaskCount == 13);
 
 class RunSupervisorTest : public ::testing::Test {
  protected:
@@ -87,25 +94,56 @@ class RunSupervisorTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(RunSupervisorTest, SupervisedReportMatchesSingleProcess) {
-  const auto reference = reference_report();
+/// (workers, shards) of one supervised configuration.
+struct WorkerShards {
+  std::size_t workers;
+  std::size_t shards;
+};
 
-  const auto summary = run_resumable(supervised_options(dir_));
+void PrintTo(const WorkerShards& p, std::ostream* out) {
+  *out << "workers" << p.workers << "_shards" << p.shards;
+}
+
+class SupervisedReportTest : public RunSupervisorTest,
+                             public ::testing::WithParamInterface<WorkerShards> {};
+
+// Every executor configuration must produce the inline (workers = 0)
+// report byte for byte — including one shard per channel, where the
+// projection task writes the final CSR itself as the inline executor does.
+TEST_P(SupervisedReportTest, SupervisedReportMatchesSingleProcess) {
+  const auto reference = reference_report();
+  const auto [workers, shards] = GetParam();
+  const auto options_for = [&] {
+    auto options = supervised_options(dir_);
+    options.supervise.workers = workers;
+    options.supervise.projection_shards = shards;
+    return options;
+  };
+
+  const auto summary = run_resumable(options_for());
   EXPECT_EQ(util::fsio::read_file(summary.report_path), reference);
-  EXPECT_EQ(summary.supervision.tasks_run, kTaskCount);
+  EXPECT_EQ(summary.supervision.tasks_run, task_count(shards));
   EXPECT_EQ(summary.supervision.restarts, 0u);
   EXPECT_EQ(summary.supervision.crashes, 0u);
   EXPECT_TRUE(summary.quarantined.empty());
 
   // A supervised --resume over the completed workdir skips every stage and
   // runs no worker at all.
-  auto resume = supervised_options(dir_);
+  auto resume = options_for();
   resume.resume = true;
   const auto second = run_resumable(resume);
   EXPECT_EQ(second.resumed_stages, second.stages.size());
   EXPECT_EQ(second.supervision.tasks_run, 0u);
   EXPECT_EQ(util::fsio::read_file(second.report_path), reference);
 }
+
+INSTANTIATE_TEST_SUITE_P(WorkersShards, SupervisedReportTest,
+                         ::testing::Values(WorkerShards{1, 1}, WorkerShards{2, 2},
+                                           WorkerShards{4, 3}),
+                         [](const ::testing::TestParamInfo<WorkerShards>& info) {
+                           return "workers" + std::to_string(info.param.workers) +
+                                  "_shards" + std::to_string(info.param.shards);
+                         });
 
 TEST_F(RunSupervisorTest, CrashedWorkersAreRetriedToIdenticalReport) {
   const auto reference = reference_report();
@@ -334,6 +372,27 @@ TEST_F(RunSupervisorTest, DeadlineMidStageLeavesSupervisedRunResumable) {
   options.resume = true;
   const auto summary = run_resumable(options);
   EXPECT_EQ(util::fsio::read_file(summary.report_path), reference);
+}
+
+// The worker's heartbeat thread must wake when the task body returns, not
+// at its next tick: with a 2 s interval, one no-op task still finishes in
+// well under a second.
+TEST(SupervisorHeartbeat, TaskCompletionDoesNotWaitForTheNextTick) {
+  const auto dir = (fs::temp_directory_path() / "dnsembed_supervisor_heartbeat").string();
+  fs::remove_all(dir);
+  SupervisorOptions options;
+  options.workers = 1;
+  options.heartbeat_interval_seconds = 2.0;
+  Supervisor supervisor{dir, options};
+  supervisor.reset_scratch("0123456789abcdef", /*resume=*/false);
+  const WorkerTask noop{.name = "noop", .outputs = {}, .body = [](const std::function<void()>&) {}};
+
+  const auto start = std::chrono::steady_clock::now();
+  supervisor.run_tasks({noop}, [] {});
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 1.0);
+  EXPECT_EQ(supervisor.stats().tasks_run, 1u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //
 //   simulate   generate a campus trace (log, optional pcap, labels CSV)
 //   convert    parse a pcap capture into the joined log format
-//   embed      log -> similarity graphs -> LINE embeddings (artifact file)
+//   embed      log -> similarity graphs -> LINE embeddings (arena file)
 //   detect     embeddings + labels -> k-fold cross-validated ROC/AUC
 //   score      embeddings + labels -> decision values for given domains
 //   cluster    embeddings -> X-Means cluster assignments (CSV)
@@ -18,6 +18,9 @@
 // Durable intermediates (embeddings, models, labeled sets, run artifacts)
 // are written atomically as versioned, checksummed containers; loaders
 // reject damage with a "corrupt artifact" error instead of misparsing.
+// Embeddings have one durable format, the binary arena: `embed --out` and
+// `run`'s DIR/<channel>.emb and DIR/combined.emb all write it, and every
+// --embeddings flag reads it.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage, 3 cannot open an
 // input file (message carries filename + errno), 4 stage deadline.
@@ -28,6 +31,7 @@
 //   dnsembed detect   --embeddings emb.bin --labels labels.csv --kfold 10
 //   dnsembed run      --workdir run1 --hosts 300 --days 5 && \
 //   dnsembed run      --workdir run1 --resume   # no-op: all stages valid
+//   dnsembed detect   --embeddings run1/combined.emb --labels labels.csv
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -101,8 +105,13 @@ commands:
             [--samples N] [--min-similarity X] [--threads N] [--seed N]
             [--projection-mode exact|sketched] [--sketch-signature N]
             [--sketch-bands N] [--sketch-bits N] [--sketch-top-k N]
+            (writes the combined embedding as a checksummed binary arena,
+             the format `run` writes as DIR/combined.emb)
   detect    --embeddings FILE --labels FILE [--kfold N] [--svm-c X]
             [--svm-gamma X] [--roc FILE]
+            (--embeddings on detect/train/score/cluster/serve: an
+             embedding arena from `embed` or a `run` workdir, e.g.
+             DIR/combined.emb)
   train     --embeddings FILE --labels FILE --out MODEL [--svm-c X]
             [--svm-gamma X]
   score     --embeddings FILE --domains a.com,b.net
@@ -132,12 +141,15 @@ commands:
              the other; 0 [default] or N >= 2 trains them on two
              threads. The embeddings are bit-identical either way, so
              resumed reports stay byte-identical.
-             --workers N >= 1 forks supervised worker processes: projection
-             pair-shards and per-channel LINE training run in children that
-             exchange results only through checksummed artifacts, with
-             heartbeat watchdog, bounded retry/backoff, and shard
-             quarantine after --max-retries; the report stays byte-identical
-             to --workers 0 at any worker count. exit 5 = one or more shards
+             Each stage is one list of tasks (trace; prune + projection
+             pair-shards; per-channel LINE training; labels; report).
+             --workers 0 [default] runs the list in order in this process
+             with one projection shard per channel; --workers N >= 1 forks
+             it into supervised worker processes that exchange results
+             only through checksummed artifacts, with heartbeat watchdog,
+             bounded retry/backoff, and shard quarantine after
+             --max-retries; the report stays byte-identical to
+             --workers 0 at any worker count. exit 5 = one or more shards
              quarantined (report written but partial). --fault-* inject
              seeded worker crash/hang/garbage faults for testing.
              --status-out FILE atomically rewrites a live JSON status file
@@ -439,7 +451,7 @@ int cmd_embed(const util::ArgParser& args) {
   config.seed += 1;
   const auto t = embed::embed_graph(model.temporal_similarity, config);
   const auto combined = embed::EmbeddingMatrix::concat(model.kept_domains, {&q, &i, &t});
-  combined.save_file(*out_path);  // atomic, checksummed, bit-exact
+  combined.save_arena_file(*out_path);  // atomic, checksummed, bit-exact
   std::printf("wrote %zux%zu embeddings to %s (%.1fs)\n", combined.size(),
               combined.dimension(), out_path->c_str(), watch.seconds());
   return 0;
@@ -502,7 +514,7 @@ int cmd_detect(const util::ArgParser& args) {
   }
   if (const int rc = check_input(*embeddings_path)) return rc;
   if (const int rc = check_input(*labels_path)) return rc;
-  const auto embedding = embed::EmbeddingMatrix::load_file(*embeddings_path);
+  const auto embedding = embed::EmbeddingMatrix::load_arena_file(*embeddings_path);
   const auto labels = read_labels(*labels_path, embedding);
   if (labels.size() < 20 || labels.malicious_count() == 0 ||
       labels.malicious_count() == labels.size()) {
@@ -542,7 +554,7 @@ int cmd_train(const util::ArgParser& args) {
   }
   if (const int rc = check_input(*embeddings_path)) return rc;
   if (const int rc = check_input(*labels_path)) return rc;
-  const auto embedding = embed::EmbeddingMatrix::load_file(*embeddings_path);
+  const auto embedding = embed::EmbeddingMatrix::load_arena_file(*embeddings_path);
   const auto labels = read_labels(*labels_path, embedding);
   const auto model = ml::train_svm(core::make_dataset(embedding, labels), svm_from_args(args));
   model.save_file(*out_path);
@@ -562,7 +574,7 @@ int cmd_score(const util::ArgParser& args) {
     return fail("score: --embeddings and --domains are required");
   }
   if (const int rc = check_input(*embeddings_path)) return rc;
-  const auto embedding = embed::EmbeddingMatrix::load_file(*embeddings_path);
+  const auto embedding = embed::EmbeddingMatrix::load_arena_file(*embeddings_path);
 
   // Scoring source: a pre-trained model file, or train-on-the-fly.
   ml::SvmModel loaded_model;
@@ -607,7 +619,7 @@ int cmd_cluster(const util::ArgParser& args) {
   const auto out_path = args.get("--out");
   if (!embeddings_path || !out_path) return fail("cluster: --embeddings and --out required");
   if (const int rc = check_input(*embeddings_path)) return rc;
-  const auto embedding = embed::EmbeddingMatrix::load_file(*embeddings_path);
+  const auto embedding = embed::EmbeddingMatrix::load_arena_file(*embeddings_path);
 
   ml::Matrix x{embedding.size(), embedding.dimension()};
   for (std::size_t i = 0; i < embedding.size(); ++i) {
@@ -1254,7 +1266,8 @@ int cmd_run(const util::ArgParser& args) {
     options.expire_deadline_after_artifact = *expire;
   }
 
-  // Supervision: --workers 0 (default) keeps the single-process path.
+  // Executor: --workers 0 (default) runs every stage's tasks in this
+  // process; N >= 1 forks them under the supervisor.
   options.supervise.workers = static_cast<std::size_t>(args.get_int_or("--workers", 0));
   options.supervise.max_retries =
       static_cast<std::size_t>(args.get_int_or("--max-retries", 2));
