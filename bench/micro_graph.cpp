@@ -173,7 +173,6 @@ double combined_auc(graph::ProjectionMode mode) {
   config.embedding.line.total_samples = 150'000;
   config.embedding.line.threads = 1;
   config.kfold = 3;
-  config.keep_flows = false;
   config.projection_mode = mode;
   // Library-default sketch parameters (rows = 2 per band): the A/B measures
   // exactly what a user opting into --projection-mode sketched gets. The

@@ -39,7 +39,8 @@ int main() {
       "share IPs/ports across a common victim set");
 
   util::Stopwatch watch;
-  const auto result = core::run_pipeline(config);
+  trace::CollectingSink events;  // netflow is not a pipeline artifact (§7.2.2)
+  const auto result = core::run_pipeline(config, &events);
   const auto clustering = core::cluster_domains(result.combined_embedding,
                                                 result.model.kept_domains,
                                                 result.trace.truth, config.xmeans);
@@ -67,7 +68,7 @@ int main() {
   std::size_t shown = 0;
   for (const auto& cluster : clustering.clusters) {
     if (cluster.malicious_fraction() < 0.5 || cluster.domains.size() < 3) continue;
-    const auto pattern = core::traffic_pattern_for(cluster, result.trace.truth, result.flows);
+    const auto pattern = core::traffic_pattern_for(cluster, result.trace.truth, events.flows());
     std::string ports;
     for (const auto p : pattern.ports) {
       if (!ports.empty()) ports += ", ";

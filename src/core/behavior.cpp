@@ -37,16 +37,16 @@ graph::BipartiteGraph GraphBuilderSink::take_dtbg() {
   return std::move(dtbg_);
 }
 
-BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
-                                   graph::BipartiteGraph dtbg,
-                                   const BehaviorModelConfig& config) {
+BehaviorModel prune_behavior_graphs(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
+                                    graph::BipartiteGraph dtbg,
+                                    const graph::DegreePruneOptions& prune) {
   hdbg.finalize();
   dibg.finalize();
   dtbg.finalize();
 
   OBS_SPAN("behavior.model");
   // Pruning rules 1-2 are defined on host behavior, i.e. on the HDBG.
-  const auto keep_mask = graph::right_degree_keep_mask(hdbg, config.prune);
+  const auto keep_mask = graph::right_degree_keep_mask(hdbg, prune);
   std::unordered_set<std::string> kept;
   for (graph::VertexId r = 0; r < hdbg.right_count(); ++r) {
     if (keep_mask[r]) kept.insert(hdbg.right_names().name(r));
@@ -69,7 +69,14 @@ BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteG
   for (graph::VertexId r = 0; r < model.hdbg.right_count(); ++r) {
     model.kept_domains.push_back(model.hdbg.right_names().name(r));
   }
+  return model;
+}
 
+BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
+                                   graph::BipartiteGraph dtbg,
+                                   const BehaviorModelConfig& config) {
+  auto model =
+      prune_behavior_graphs(std::move(hdbg), std::move(dibg), std::move(dtbg), config.prune);
   {
     OBS_SPAN("behavior.project.query");
     model.query_similarity = graph::project_right(model.hdbg, config.query_projection);

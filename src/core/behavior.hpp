@@ -63,8 +63,14 @@ struct BehaviorModel {
   graph::WeightedGraph temporal_similarity;
 };
 
-/// Prune (host-degree rules computed on the HDBG, applied to every graph)
-/// and project. Consumes the graphs.
+/// Prune only (host-degree rules computed on the HDBG, applied to every
+/// graph): kept_domains and the pruned graphs, similarity graphs left
+/// empty. Consumes the graphs.
+BehaviorModel prune_behavior_graphs(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
+                                    graph::BipartiteGraph dtbg,
+                                    const graph::DegreePruneOptions& prune);
+
+/// Prune, then project. Consumes the graphs.
 BehaviorModel build_behavior_model(graph::BipartiteGraph hdbg, graph::BipartiteGraph dibg,
                                    graph::BipartiteGraph dtbg,
                                    const BehaviorModelConfig& config);

@@ -2,6 +2,13 @@
 // pruning -> one-mode projections -> graph embeddings -> labeled set ->
 // SVM detection / X-Means mining. Benches and examples drive experiments
 // through this type.
+//
+// run_pipeline is the in-memory driver of the stage table that
+// run_resumable (core/run.hpp) drives against a workdir: the same tasks
+// run inline, their artifacts stay in memory, and the result is decoded
+// from those artifacts by the loader the durable report stage uses. Both
+// drivers therefore produce the same graphs, embeddings and labels bit for
+// bit, and the report written from either is byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +31,7 @@ struct PipelineConfig {
 
   /// Worker threads for the three one-mode projections (0 = one per
   /// hardware thread). Applied to all three ProjectionOptions in
-  /// `behavior` by run_pipeline; projection output is deterministic for
+  /// `behavior` by both drivers; projection output is deterministic for
   /// every value, so this is purely a throughput knob.
   std::size_t projection_threads = 0;
 
@@ -52,13 +59,6 @@ struct PipelineConfig {
 
   ml::XMeansConfig xmeans;
 
-  /// Retain netflow records for cluster traffic analysis (§7.2.2).
-  bool keep_flows = true;
-
-  /// Retain the raw DNS log entries (streaming-detector replays split
-  /// them by day; off by default — full traces are large).
-  bool keep_entries = false;
-
   std::uint64_t seed = 1;
 
   PipelineConfig() {
@@ -73,6 +73,8 @@ struct PipelineConfig {
   }
 };
 
+/// Decoded from the run's artifacts. trace.dhcp is not persisted and stays
+/// empty; model.hdbg/dibg/dtbg are the pruned bipartite graphs.
 struct PipelineResult {
   trace::TraceResult trace;
   BehaviorModel model;
@@ -81,13 +83,14 @@ struct PipelineResult {
   embed::EmbeddingMatrix temporal_embedding;
   embed::EmbeddingMatrix combined_embedding;  // R^{3k}, rows = kept_domains
   intel::LabeledSet labels;
-  std::vector<trace::NetflowRecord> flows;
-  std::vector<dns::LogEntry> entries;  // only when keep_entries
 };
 
 /// Run trace generation through embedding + labeling. Detection and
 /// clustering are separate calls (they are the per-experiment variables).
-PipelineResult run_pipeline(const PipelineConfig& config);
+/// `observer`, when given, also receives every trace event — the raw DNS
+/// log and the netflow records, which are not artifacts.
+PipelineResult run_pipeline(const PipelineConfig& config,
+                            trace::TraceSink* observer = nullptr);
 
 /// Convenience: evaluate the SVM on each feature channel and the combined
 /// vector (Figs. 6-7).

@@ -51,6 +51,18 @@ void write_scenario_section(std::ostream& out, const PipelineResult& result,
       << evaluation.benign_false_positives << "\n\n";
 }
 
+/// The clusters "Most suspicious clusters" lists: the first
+/// options.top_clusters with at least three domains.
+std::vector<const DomainCluster*> shown_clusters(const ClusteringResult& clusters,
+                                                 const ReportOptions& options) {
+  std::vector<const DomainCluster*> shown;
+  for (const auto& cluster : clusters.clusters) {
+    if (shown.size() >= options.top_clusters) break;
+    if (cluster.domains.size() >= 3) shown.push_back(&cluster);
+  }
+  return shown;
+}
+
 }  // namespace
 
 void write_detection_report(std::ostream& out, const PipelineResult& result,
@@ -62,7 +74,7 @@ void write_detection_report(std::ostream& out, const PipelineResult& result,
   out << "| metric | value |\n|---|---|\n";
   out << "| DNS events | " << result.trace.dns_events << " |\n";
   out << "| NXDOMAIN events | " << result.trace.nxdomain_events << " |\n";
-  out << "| netflow records | " << result.flows.size() << " |\n";
+  out << "| netflow records | " << result.trace.flow_events << " |\n";
   out << "| domains after pruning | " << result.model.kept_domains.size() << " |\n";
   out << "| query-similarity edges | " << result.model.query_similarity.edge_count() << " |\n";
   out << "| IP-similarity edges | " << result.model.ip_similarity.edge_count() << " |\n";
@@ -85,36 +97,41 @@ void write_detection_report(std::ostream& out, const PipelineResult& result,
   write_scenario_section(out, result, evals, clusters, options);
 
   out << "## Most suspicious clusters\n\n";
-  std::size_t shown = 0;
-  for (const auto& cluster : clusters.clusters) {
-    if (cluster.domains.size() < 3) continue;
-    if (shown >= options.top_clusters) break;
-    out << "### Cluster " << cluster.id << " — " << cluster.domains.size() << " domains";
-    if (!cluster.dominant_family.empty()) {
-      out << " (ground truth: " << 100.0 * cluster.malicious_fraction() << "% malicious, "
-          << cluster.dominant_family << ")";
+  for (const DomainCluster* cluster : shown_clusters(clusters, options)) {
+    out << "### Cluster " << cluster->id << " — " << cluster->domains.size() << " domains";
+    if (!cluster->dominant_family.empty()) {
+      out << " (ground truth: " << 100.0 * cluster->malicious_fraction() << "% malicious, "
+          << cluster->dominant_family << ")";
     }
     out << "\n\n";
     out << "sample: ";
-    const std::size_t n = std::min(options.sample_domains, cluster.domains.size());
+    const std::size_t n = std::min(options.sample_domains, cluster->domains.size());
     for (std::size_t i = 0; i < n; ++i) {
       if (i != 0) out << ", ";
-      out << "`" << cluster.domains[i] << "`";
+      out << "`" << cluster->domains[i] << "`";
     }
     out << "\n\n";
-    const auto pattern = traffic_pattern_for(cluster, result.trace.truth, result.flows);
-    if (pattern.flows > 0) {
-      out << "traffic: " << pattern.flows << " flows to " << pattern.server_ips.size()
-          << " server IP(s) from " << pattern.distinct_hosts << " campus host(s), ports {";
-      for (std::size_t i = 0; i < pattern.ports.size(); ++i) {
-        if (i != 0) out << ", ";
-        out << pattern.ports[i];
-      }
-      out << "}\n\n";
-    }
-    ++shown;
   }
   out << "---\ngenerated by dnsembed\n";
+}
+
+void write_traffic_appendix(std::ostream& out, const PipelineResult& result,
+                            const ClusteringResult& clusters,
+                            const std::vector<trace::NetflowRecord>& flows,
+                            const ReportOptions& options) {
+  out << "\n## Cluster traffic\n\n";
+  for (const DomainCluster* cluster : shown_clusters(clusters, options)) {
+    const auto pattern = traffic_pattern_for(*cluster, result.trace.truth, flows);
+    if (pattern.flows == 0) continue;
+    out << "Cluster " << cluster->id << " traffic: " << pattern.flows << " flows to "
+        << pattern.server_ips.size() << " server IP(s) from " << pattern.distinct_hosts
+        << " campus host(s), ports {";
+    for (std::size_t i = 0; i < pattern.ports.size(); ++i) {
+      if (i != 0) out << ", ";
+      out << pattern.ports[i];
+    }
+    out << "}\n\n";
+  }
 }
 
 void write_worker_resources(std::ostream& out, const SupervisionStats& stats) {

@@ -1,8 +1,10 @@
 // Operator-facing markdown report: summarizes a detection run — traffic
-// volume, graph sizes, cross-validated quality per feature channel, the
-// most suspicious clusters with sample domains, and their netflow
-// patterns. Rendered by the CLI `report` subcommand and usable as a
-// library call.
+// volume, graph sizes, cross-validated quality per feature channel, and
+// the most suspicious clusters with sample domains. Everything in it comes
+// from the run's artifacts, so `dnsembed run` writes it as DIR/report.md
+// and `dnsembed report` writes the same bytes, followed by appendices
+// built from what is not an artifact (the clusters' netflow patterns, the
+// streaming replay).
 #pragma once
 
 #include <iosfwd>
@@ -26,6 +28,14 @@ struct ReportOptions {
 void write_detection_report(std::ostream& out, const PipelineResult& result,
                             const ChannelEvaluations& evals,
                             const ClusteringResult& clusters,
+                            const ReportOptions& options = {});
+
+/// "Cluster traffic" appendix (§7.2.2): the netflow pattern of each cluster
+/// the report lists under "Most suspicious clusters", for the clusters
+/// that saw flows.
+void write_traffic_appendix(std::ostream& out, const PipelineResult& result,
+                            const ClusteringResult& clusters,
+                            const std::vector<trace::NetflowRecord>& flows,
                             const ReportOptions& options = {});
 
 /// Markdown "Worker resources" table from the supervisor's per-task wait4

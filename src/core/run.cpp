@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <iterator>
-#include <mutex>
+#include <map>
 #include <optional>
 #include <sstream>
-#include <thread>
-#include <unordered_set>
 
 #include "core/behavior.hpp"
 #include "core/clustering.hpp"
@@ -50,14 +48,14 @@ struct StageSpec {
 const std::vector<StageSpec>& stage_specs() {
   static const std::vector<StageSpec> specs{
       {"trace",
-       {{"hdbg.bg", "bipartite-graph"},
-        {"dibg.bg", "bipartite-graph"},
-        {"dtbg.bg", "bipartite-graph"},
+       {{"hdbg.bg", "bipartite-arena"},
+        {"dibg.bg", "bipartite-arena"},
+        {"dtbg.bg", "bipartite-arena"},
+        {"kept.domains", "domain-list"},
         {"truth.gt", "ground-truth"},
         {"trace.stats", "trace-stats"}}},
       {"behavior",
-       {{"kept.domains", "domain-list"},
-        {"query_sim.csr", "csr-graph"},
+       {{"query_sim.csr", "csr-graph"},
         {"ip_sim.csr", "csr-graph"},
         {"temporal_sim.csr", "csr-graph"}}},
       {"embed",
@@ -72,6 +70,52 @@ const std::vector<StageSpec>& stage_specs() {
 }
 
 std::string join(const std::string& dir, const char* file) { return dir + "/" + file; }
+
+// ----------------------------------------------------------------- store
+
+/// Where a run's artifacts live, keyed by file name: checksummed files
+/// under a workdir (run_resumable), or the same container bytes in memory
+/// (run_pipeline: no workdir, no fsync). Every stage task writes and reads
+/// through put/load, so both drivers encode and decode the same bytes.
+class ArtifactStore {
+ public:
+  /// An empty workdir keeps the artifacts in memory.
+  explicit ArtifactStore(std::string workdir) : workdir_{std::move(workdir)} {}
+
+  /// The file's path under the workdir (its bare name in memory).
+  std::string path(const std::string& file) const {
+    return workdir_.empty() ? file : workdir_ + "/" + file;
+  }
+
+  /// Commit `payload` as `file`, in a checksummed container of `kind`
+  /// (an empty kind stores the bytes as they are: the report).
+  void put(const std::string& file, std::string_view kind, std::string_view payload) {
+    if (workdir_.empty()) {
+      memory_[file] = kind.empty() ? std::string{payload} : util::make_artifact(kind, payload);
+    } else if (kind.empty()) {
+      util::fsio::atomic_write_file(path(file), payload);
+    } else {
+      util::save_artifact(path(file), kind, payload);
+    }
+  }
+
+  /// parse(payload, path) over the validated payload of `file`: mapped
+  /// from the file, or a view of the store's bytes, valid during the call.
+  template <typename Parse>
+  auto load(const std::string& file, std::string_view kind, Parse parse) const {
+    if (!workdir_.empty()) {
+      const auto mapped = util::map_artifact(path(file), kind);
+      return parse(mapped.payload(), path(file));
+    }
+    const auto it = memory_.find(file);
+    if (it == memory_.end()) throw std::logic_error{"run: artifact " + file + " not produced"};
+    return parse(util::validate_artifact_view(it->second, kind, file), file);
+  }
+
+ private:
+  std::string workdir_;
+  std::map<std::string, std::string> memory_;
+};
 
 // ------------------------------------------------------- small payloads
 
@@ -93,8 +137,8 @@ std::string trace_stats_payload(const TraceStats& stats) {
   throw util::CorruptArtifact{path, std::move(reason)};
 }
 
-TraceStats parse_trace_stats(const std::string& payload, const std::string& path) {
-  std::istringstream in{payload};
+TraceStats parse_trace_stats(std::string_view payload, const std::string& path) {
+  std::istringstream in{std::string{payload}};
   TraceStats stats;
   std::string key;
   if (!(in >> key >> stats.dns_events) || key != "dns_events") {
@@ -118,8 +162,8 @@ std::string domain_list_payload(const std::vector<std::string>& domains) {
   return out;
 }
 
-std::vector<std::string> parse_domain_list(const std::string& payload, const std::string& path) {
-  std::istringstream in{payload};
+std::vector<std::string> parse_domain_list(std::string_view payload, const std::string& path) {
+  std::istringstream in{std::string{payload}};
   std::string key;
   std::size_t count = 0;
   if (!(in >> key >> count) || key != "domains") {
@@ -274,53 +318,44 @@ bool stage_artifacts_valid(const std::string& workdir, const StageRecord& record
 
 // -------------------------------------------------------------- watchdog
 
-/// Arms a deadline timer for one stage. Cancellation is cooperative: the
-/// stage driver polls expired() at artifact commits and substep boundaries
-/// (atomic artifact writes mean cancellation never leaves torn files).
+/// One stage's deadline. Cancellation is cooperative: the stage driver
+/// calls check() between tasks, at task substeps and after every artifact
+/// commit, and the supervisor calls it on every scheduling round (atomic
+/// artifact writes mean cancellation never leaves torn files). There is no
+/// timer thread, so none is alive when the supervisor forks.
 class StageWatchdog {
  public:
   StageWatchdog(const char* stage, double seconds) : stage_{stage} {
-    if (seconds <= 0.0) return;
-    const auto budget = std::chrono::duration<double>{seconds};
-    timer_ = std::thread{[this, budget] {
-      std::unique_lock lock{mutex_};
-      if (!cv_.wait_for(lock, budget, [this] { return disarmed_; })) {
-        expired_.store(true, std::memory_order_relaxed);
-      }
-    }};
-  }
-
-  ~StageWatchdog() {
-    {
-      std::lock_guard lock{mutex_};
-      disarmed_ = true;
+    if (seconds > 0.0) {
+      deadline_ = Clock::now() +
+                  std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>{seconds});
     }
-    cv_.notify_all();
-    if (timer_.joinable()) timer_.join();
   }
 
   void check() const {
-    if (expired_.load(std::memory_order_relaxed)) throw StageDeadlineExceeded{stage_};
+    if (expired_ || (deadline_ && Clock::now() >= *deadline_)) {
+      throw StageDeadlineExceeded{stage_};
+    }
   }
 
-  /// Test hook: make the next check() throw, exactly as if the timer had
-  /// fired — a deterministic mid-stage deadline for the resumability
+  /// Test hook: make the next check() throw, exactly as if the deadline
+  /// had passed — a deterministic mid-stage deadline for the resumability
   /// regression test.
-  void force_expire() noexcept { expired_.store(true, std::memory_order_relaxed); }
+  void force_expire() noexcept { expired_ = true; }
 
  private:
+  using Clock = std::chrono::steady_clock;
   std::string stage_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool disarmed_ = false;
-  std::atomic<bool> expired_{false};
-  std::thread timer_;
+  std::optional<Clock::time_point> deadline_;
+  bool expired_ = false;
 };
 
 // ------------------------------------------------------------ stage table
 
+using Checkpoint = std::function<void()>;
+
 /// One row of the stage table: the tasks that write the stage's artifacts,
-/// declared once for both executors, and an optional parent-side join that
+/// declared once for every executor, and an optional parent-side join that
 /// runs after every task finished.
 struct Stage {
   const StageSpec& spec;
@@ -328,8 +363,337 @@ struct Stage {
   std::function<void()> join;
 };
 
+/// One similarity channel: its bipartite input, similarity CSR and
+/// embedding artifacts, and its projection options. The row index is the
+/// channel's LINE seed offset (seed, seed+1, seed+2).
+struct ChannelSpec {
+  const char* name;       // task-name component ("behavior.<name>.s<k>", "embed.<name>")
+  const char* input;      // pruned bipartite artifact
+  const char* csr;        // similarity CSR artifact
+  const char* embedding;  // embedding arena artifact
+  graph::ProjectionOptions BehaviorModelConfig::*projection;
+};
+
+constexpr ChannelSpec kChannels[] = {
+    {"query", "hdbg.bg", "query_sim.csr", "query.emb", &BehaviorModelConfig::query_projection},
+    {"ip", "dibg.bg", "ip_sim.csr", "ip.emb", &BehaviorModelConfig::ip_projection},
+    {"temporal", "dtbg.bg", "temporal_sim.csr", "temporal.emb",
+     &BehaviorModelConfig::temporal_projection},
+};
+
+/// What the stage table's task bodies read. Copies share the referenced
+/// objects, so the bodies capture it by value.
+struct TableContext {
+  ArtifactStore& store;
+  const PipelineConfig& config;
+  /// Also fed every trace event (run_pipeline callers that need the raw
+  /// log or netflow); null for durable runs.
+  trace::TraceSink* observer;
+  /// Projection pair-shards per channel; more than one writes partials
+  /// under sv/ that the behavior join merges.
+  std::size_t shard_count;
+  /// Sorted quarantined task names, final once the behavior stage is done.
+  const std::vector<std::string>& quarantined;
+};
+
+graph::BipartiteGraph load_bipartite(const ArtifactStore& store, const char* file) {
+  return store.load(file, graph::kBipartiteKind, graph::parse_bipartite_payload);
+}
+
+/// Deterministic merge of per-shard partial projections into the
+/// channel's final CSR. Shards partition the PAIR space disjointly and each
+/// emits exact similarities over the full vertex set in identical id
+/// order, so the merged edge list is the concatenation, and one global
+/// (u, v) sort reproduces the exact emission order of an unsharded
+/// projection — the merged artifact is byte-identical to a one-shard run.
+/// Quarantined shards are simply absent: their pairs are missing and the
+/// report is flagged as partial.
+void merge_channel_shards(ArtifactStore& store, const ChannelSpec& channel,
+                          const std::vector<std::string>& partial_files) {
+  std::vector<graph::WeightedEdge> edges;
+  std::vector<std::string> names;
+  for (const auto& partial : partial_files) {
+    names = store.load(partial, util::kCsrGraphKind,
+                       [&edges](std::string_view bytes, const std::string& path) {
+                         const auto part = util::CsrGraph::from_payload(bytes, path);
+                         for (std::size_t e = 0; e < part.edge_count(); ++e) {
+                           edges.push_back({part.edge_u()[e], part.edge_v()[e], part.edge_w()[e]});
+                         }
+                         return part.names_copy();
+                       });
+  }
+  // All shards quarantined: an edgeless graph over the pruned vertex set
+  // keeps downstream stages well-formed (isolated vertices are legal).
+  if (partial_files.empty()) names = load_bipartite(store, channel.input).right_names().names();
+  std::sort(edges.begin(), edges.end(), [](const graph::WeightedEdge& a,
+                                           const graph::WeightedEdge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  });
+  std::vector<std::uint32_t> edge_u;
+  std::vector<std::uint32_t> edge_v;
+  std::vector<double> edge_w;
+  for (const auto& e : edges) {
+    edge_u.push_back(e.u);
+    edge_v.push_back(e.v);
+    edge_w.push_back(e.weight);
+  }
+  store.put(channel.csr, util::kCsrGraphKind,
+            util::CsrGraph::build(names.size(), edge_u, edge_v, edge_w, names).payload());
+}
+
+std::vector<std::string> load_kept_domains(const ArtifactStore& store) {
+  return store.load("kept.domains", "domain-list", parse_domain_list);
+}
+
+/// Decode a run's artifacts, trace through labels, into the result the
+/// report is written from. Everything comes from the store; nothing is
+/// carried in memory from earlier stages.
+PipelineResult load_result(const ArtifactStore& store) {
+  PipelineResult result;
+  result.trace.truth = store.load("truth.gt", "ground-truth", trace::parse_ground_truth_payload);
+  const auto stats = store.load("trace.stats", "trace-stats", parse_trace_stats);
+  result.trace.dns_events = stats.dns_events;
+  result.trace.nxdomain_events = stats.nxdomain_events;
+  result.trace.flow_events = stats.flow_events;
+  result.model.kept_domains = load_kept_domains(store);
+  const auto similarity = [&](const char* file) {
+    return store.load(file, util::kCsrGraphKind, [](std::string_view bytes, const auto& path) {
+      return graph::from_csr(util::CsrGraph::from_payload(bytes, path));
+    });
+  };
+  result.model.query_similarity = similarity("query_sim.csr");
+  result.model.ip_similarity = similarity("ip_sim.csr");
+  result.model.temporal_similarity = similarity("temporal_sim.csr");
+  const auto embedding = [&](const char* file) {
+    return store.load(file, util::kDenseMatrixKind, embed::EmbeddingMatrix::parse_arena_payload);
+  };
+  result.query_embedding = embedding("query.emb");
+  result.ip_embedding = embedding("ip.emb");
+  result.temporal_embedding = embedding("temporal.emb");
+  result.combined_embedding = embedding("combined.emb");
+  result.labels = store.load("labeled.set", "labeled-set", intel::parse_labeled_payload);
+  return result;
+}
+
+/// The labeled set's composition by campaign archetype (scenario.*
+/// namespace; detection-side gauges are published by evaluate_scenarios).
+void publish_label_gauges(const intel::LabeledSet& labels) {
+  std::map<std::string, std::size_t> per_scenario;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (labels.labels[i] != 1) continue;
+    const std::string_view tag = labels.scenario(i);
+    per_scenario[tag.empty() ? "unknown" : std::string{tag}] += 1;
+  }
+  for (const auto& [tag, count] : per_scenario) {
+    obs::metrics().gauge("scenario." + tag + ".domains").set(static_cast<std::int64_t>(count));
+  }
+}
+
+/// Report-stage work: per-channel SVM evaluation + clustering over the
+/// stored artifacts. `quarantined` non-empty appends a degraded-run
+/// section, so a clean supervised run emits byte-identical bytes to an
+/// inline one.
+void write_report(ArtifactStore& store, const PipelineConfig& config,
+                  const std::vector<std::string>& quarantined, const Checkpoint& checkpoint) {
+  const PipelineResult result = load_result(store);
+  checkpoint();
+  const auto evals = evaluate_channels(result, config);
+  checkpoint();
+  const auto clusters = cluster_domains(result.combined_embedding, result.model.kept_domains,
+                                        result.trace.truth, config.xmeans);
+  checkpoint();
+  std::ostringstream report;
+  write_detection_report(report, result, evals, clusters);
+  if (!quarantined.empty()) {
+    report << "\n## Degraded run\n\n"
+           << quarantined.size()
+           << " shard task(s) exhausted their retry budget and were quarantined; the "
+              "similarity graphs and everything derived from them are partial:\n\n";
+    for (const auto& task : quarantined) report << "- `" << task << "`\n";
+  }
+  store.put("report.md", "", report.str());
+}
+
+/// The paper's pipeline as one table of five stages. Every task body reads
+/// its inputs from ctx.store and writes its outputs there, whichever
+/// executor runs it.
+std::vector<Stage> pipeline_stages(const TableContext& ctx) {
+  const auto& specs = stage_specs();
+  ArtifactStore& store = ctx.store;
+  /// Every artifact of a stage, for a task that writes them all.
+  const auto spec_outputs = [&](const StageSpec& spec) {
+    std::vector<WorkerTask::Output> outputs;
+    for (const auto& artifact : spec.artifacts) {
+      outputs.push_back({store.path(artifact.file), artifact.kind});
+    }
+    return outputs;
+  };
+  const auto shard_task = [](const ChannelSpec& channel, std::size_t s) {
+    return std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
+  };
+  // One shard writes the channel's final CSR itself; more write partials
+  // into the supervisor's scratch directory. Captures ctx by value: the
+  // behavior join keeps a copy of this lambda after this function returns.
+  const auto shard_file = [ctx](const ChannelSpec& channel, std::size_t s) {
+    return ctx.shard_count == 1
+               ? std::string{channel.csr}
+               : std::string{"sv/"} + channel.name + ".s" + std::to_string(s) + ".csr";
+  };
+
+  std::vector<Stage> stages;
+
+  // trace: synthesize the campus capture into the three bipartite graphs,
+  // pruned by the paper's rules (so every projection task loads its graph
+  // as is), plus the kept domains and the ground-truth registry.
+  stages.push_back(
+      {specs[0],
+       {{.name = "trace",
+         .outputs = spec_outputs(specs[0]),
+         .body = [ctx](const Checkpoint& checkpoint) {
+           GraphBuilderSink graphs;
+           std::vector<trace::TraceSink*> sinks{&graphs};
+           if (ctx.observer != nullptr) sinks.push_back(ctx.observer);
+           trace::TeeSink tee{sinks};
+           const auto trace_result = trace::generate_trace(ctx.config.trace, tee);
+           checkpoint();
+           const auto model = prune_behavior_graphs(graphs.take_hdbg(), graphs.take_dibg(),
+                                                    graphs.take_dtbg(), ctx.config.behavior.prune);
+           ctx.store.put("hdbg.bg", graph::kBipartiteKind, graph::bipartite_payload(model.hdbg));
+           ctx.store.put("dibg.bg", graph::kBipartiteKind, graph::bipartite_payload(model.dibg));
+           ctx.store.put("dtbg.bg", graph::kBipartiteKind, graph::bipartite_payload(model.dtbg));
+           ctx.store.put("kept.domains", "domain-list", domain_list_payload(model.kept_domains));
+           ctx.store.put("truth.gt", "ground-truth",
+                         trace::ground_truth_payload(trace_result.truth));
+           ctx.store.put("trace.stats", "trace-stats",
+                         trace_stats_payload({trace_result.dns_events,
+                                              trace_result.nxdomain_events,
+                                              trace_result.flow_events}));
+         }}},
+       {}});
+
+  // behavior: project the pruned bipartite graphs, one task per channel
+  // pair-shard. Quarantined shards leave their pairs out and flag the run.
+  stages.push_back({specs[1], {}, {}});
+  for (const auto& channel : kChannels) {
+    for (std::size_t s = 0; s < ctx.shard_count; ++s) {
+      const auto file = shard_file(channel, s);
+      // Only sv/ partials are reusable: the scratch config hash gates them,
+      // while final artifacts are reused at stage granularity.
+      stages.back().tasks.push_back(
+          {.name = shard_task(channel, s),
+           .quarantinable = true,
+           .reusable = ctx.shard_count > 1,
+           .outputs = {{store.path(file), "csr-graph"}},
+           .body = [ctx, channel, file, s](const Checkpoint& checkpoint) {
+             const std::string span_name = std::string{"behavior.project."} + channel.name;
+             obs::Span span{span_name.c_str()};
+             graph::ProjectionOptions proj = ctx.config.behavior.*channel.projection;
+             proj.threads = ctx.config.projection_threads;
+             proj.mode = ctx.config.projection_mode;
+             proj.sketch = ctx.config.sketch;
+             proj.pair_shard_index = s;
+             proj.pair_shard_count = ctx.shard_count;
+             const auto pruned = load_bipartite(ctx.store, channel.input);
+             checkpoint();
+             ctx.store.put(file, util::kCsrGraphKind,
+                           graph::to_csr(graph::project_right(pruned, proj)).payload());
+           }});
+    }
+  }
+  stages.back().join = [ctx, shard_task, shard_file] {
+    for (const auto& channel : kChannels) {
+      std::vector<std::string> partials;
+      for (std::size_t s = 0; s < ctx.shard_count; ++s) {
+        if (!std::binary_search(ctx.quarantined.begin(), ctx.quarantined.end(),
+                                shard_task(channel, s))) {
+          partials.push_back(shard_file(channel, s));
+        }
+      }
+      if (ctx.shard_count > 1 || partials.empty()) {
+        merge_channel_shards(ctx.store, channel, partials);
+      }
+    }
+  };
+
+  // embed: one LINE embedding per similarity graph, then the concatenated
+  // vector. LINE's edge sampler reads the CSR sections in place (mapped
+  // from the file in a durable run). LINE is bit-deterministic at any
+  // thread count, so worker placement cannot change the arenas.
+  stages.push_back({specs[2], {}, {}});
+  for (std::size_t c = 0; c < std::size(kChannels); ++c) {
+    const ChannelSpec channel = kChannels[c];
+    stages.back().tasks.push_back(
+        {.name = std::string{"embed."} + channel.name,
+         .outputs = {{store.path(channel.embedding), "embedding-arena"}},
+         .body = [ctx, channel, c](const Checkpoint& checkpoint) {
+           embed::EmbedConfig embed_config = ctx.config.embedding;
+           embed_config.dimension = ctx.config.embedding_dimension;
+           embed_config.seed = ctx.config.seed + c;
+           checkpoint();
+           // The CSR's sections are read in place, not copied.
+           const auto embedding = ctx.store.load(
+               channel.csr, util::kCsrGraphKind, [&](std::string_view bytes, const auto& path) {
+                 return embed::embed_graph(util::CsrGraph::from_payload(bytes, path), embed_config);
+               });
+           ctx.store.put(channel.embedding, util::kDenseMatrixKind, embedding.arena_payload());
+         }});
+  }
+  stages.back().join = [ctx] {
+    std::vector<embed::EmbeddingMatrix> parts;
+    for (const auto& channel : kChannels) {
+      parts.push_back(ctx.store.load(channel.embedding, util::kDenseMatrixKind,
+                                     embed::EmbeddingMatrix::parse_arena_payload));
+    }
+    ctx.store.put("combined.emb", util::kDenseMatrixKind,
+                  embed::EmbeddingMatrix::concat(load_kept_domains(ctx.store),
+                                                 {&parts[0], &parts[1], &parts[2]})
+                      .arena_payload());
+  };
+
+  // labels: ground truth + simulated VirusTotal over the kept domains.
+  stages.push_back(
+      {specs[3],
+       {{.name = "labels",
+         .outputs = spec_outputs(specs[3]),
+         .body = [ctx](const Checkpoint& checkpoint) {
+           const auto truth =
+               ctx.store.load("truth.gt", "ground-truth", trace::parse_ground_truth_payload);
+           const auto kept = load_kept_domains(ctx.store);
+           checkpoint();
+           const intel::VirusTotalSim vt{truth, ctx.config.virustotal};
+           const auto labels = intel::build_labeled_set(kept, truth, vt, ctx.config.labeling);
+           publish_label_gauges(labels);
+           ctx.store.put("labeled.set", "labeled-set", intel::labeled_payload(labels));
+         }}},
+       {}});
+
+  // report: the quarantine list is final when this body runs, since the
+  // behavior stage (the only producer of quarantinable tasks) is done.
+  stages.push_back({specs[4],
+                    {{.name = "report",
+                      .outputs = spec_outputs(specs[4]),
+                      .body = [ctx](const Checkpoint& checkpoint) {
+                        write_report(ctx.store, ctx.config, ctx.quarantined, checkpoint);
+                      }}},
+                    {}});
+  return stages;
+}
+
+/// The inline executor: a stage's tasks in order in this process, each
+/// under a span named after the task, then the stage's join.
+void run_inline(const Stage& stage, const Checkpoint& check) {
+  for (const auto& task : stage.tasks) {
+    check();
+    obs::Span task_span{task.name.c_str()};
+    task.body(check);
+  }
+  if (stage.join) stage.join();
+}
+
 // ---------------------------------------------------------- stage driver
 
+/// Durable executor: runs or resumes each stage against the workdir, then
+/// commits its artifacts into the manifest.
 class StageDriver {
  public:
   /// `supervisor` selects the executor: non-null forks each stage's tasks
@@ -359,7 +723,7 @@ class StageDriver {
         return;
       }
     }
-    obs::StageSpan span{std::string{"run."} + spec.name};
+    obs::StageSpan span{std::string{"pipeline."} + spec.name};
     StageWatchdog watchdog{spec.name, options_.stage_deadline_seconds};
     watchdog.check();
     pending_.clear();
@@ -408,14 +772,10 @@ class StageDriver {
       quarantined_.insert(quarantined_.end(),
                           all.begin() + static_cast<std::ptrdiff_t>(before), all.end());
       std::sort(quarantined_.begin(), quarantined_.end());
+      if (stage.join) stage.join();
     } else {
-      for (const auto& task : stage.tasks) {
-        check();
-        obs::Span task_span{task.name.c_str()};
-        task.body(check);
-      }
+      run_inline(stage, check);
     }
-    if (stage.join) stage.join();
     for (const auto& artifact : stage.spec.artifacts) committed(artifact.file, watchdog);
   }
 
@@ -473,156 +833,6 @@ class StageDriver {
   std::vector<std::string> quarantined_;  // sorted quarantined task names
 };
 
-// ------------------------------------------------------------ stage work
-
-/// One similarity channel: its bipartite input, similarity CSR and
-/// embedding artifacts, and its projection options. The row index is the
-/// channel's LINE seed offset (seed, seed+1, seed+2 as in run_pipeline).
-struct ChannelSpec {
-  const char* name;       // task-name component ("behavior.<name>.s<k>", "embed.<name>")
-  const char* input;      // bipartite input artifact
-  const char* csr;        // similarity CSR artifact
-  const char* embedding;  // embedding arena artifact
-  graph::ProjectionOptions BehaviorModelConfig::*projection;
-};
-
-constexpr ChannelSpec kChannels[] = {
-    {"query", "hdbg.bg", "query_sim.csr", "query.emb", &BehaviorModelConfig::query_projection},
-    {"ip", "dibg.bg", "ip_sim.csr", "ip.emb", &BehaviorModelConfig::ip_projection},
-    {"temporal", "dtbg.bg", "temporal_sim.csr", "temporal.emb",
-     &BehaviorModelConfig::temporal_projection},
-};
-
-/// The channel's bipartite graph after the paper's pruning rules (defined
-/// on host behavior, i.e. on the HDBG). Each projection task recomputes
-/// this independently from the trace artifacts (forked workers share no
-/// memory); the pruning is deterministic, so every task filters the
-/// identical vertex set.
-graph::BipartiteGraph pruned_channel_graph(const std::string& workdir,
-                                           const ChannelSpec& channel,
-                                           const PipelineConfig& config) {
-  auto hdbg = graph::load_bipartite_file(join(workdir, "hdbg.bg"));
-  const auto keep_mask = graph::right_degree_keep_mask(hdbg, config.behavior.prune);
-  if (std::string_view{channel.input} == "hdbg.bg") return hdbg.filter_right(keep_mask);
-  std::unordered_set<std::string> kept;
-  for (graph::VertexId r = 0; r < hdbg.right_count(); ++r) {
-    if (keep_mask[r]) kept.insert(hdbg.right_names().name(r));
-  }
-  auto g = graph::load_bipartite_file(join(workdir, channel.input));
-  std::vector<bool> mask(g.right_count(), false);
-  for (graph::VertexId r = 0; r < g.right_count(); ++r) {
-    mask[r] = kept.contains(g.right_names().name(r));
-  }
-  return g.filter_right(mask);
-}
-
-/// Deterministic size-aware merge of per-shard partial projections into the
-/// channel's final CSR. Shards partition the PAIR space disjointly and each
-/// emits exact similarities over the full vertex set, so the merged edge
-/// list is the concatenation (reserved to total size up front), and one
-/// global (u, v) sort reproduces the exact emission order of an unsharded
-/// projection — the merged artifact is byte-identical to a one-shard run.
-/// Quarantined shards are simply absent: their pairs are missing and the
-/// report is flagged as partial.
-void merge_channel_shards(const std::string& workdir, const ChannelSpec& channel,
-                          const PipelineConfig& config,
-                          const std::vector<std::string>& partial_paths) {
-  std::vector<graph::WeightedGraph> parts;
-  parts.reserve(partial_paths.size());
-  std::size_t total = 0;
-  for (const auto& partial : partial_paths) {
-    parts.push_back(graph::from_csr(graph::load_csr_file(partial)));
-    total += parts.back().edge_count();
-  }
-  std::vector<graph::WeightedEdge> edges;
-  edges.reserve(total);
-  for (const auto& part : parts) {
-    const auto span = part.edges();
-    edges.insert(edges.end(), span.begin(), span.end());
-  }
-  std::sort(edges.begin(), edges.end(), [](const graph::WeightedEdge& a,
-                                           const graph::WeightedEdge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-
-  graph::WeightedGraph merged;
-  if (!parts.empty()) {
-    // Every partial carries the full vertex set in identical id order.
-    const auto& names = parts.front().names();
-    for (graph::VertexId v = 0; v < parts.front().vertex_count(); ++v) {
-      merged.add_vertex(names.name(v));
-    }
-  } else {
-    // All shards quarantined: an edgeless graph over the pruned vertex set
-    // keeps downstream stages well-formed (isolated vertices are legal).
-    const auto pruned = pruned_channel_graph(workdir, channel, config);
-    for (graph::VertexId r = 0; r < pruned.right_count(); ++r) {
-      merged.add_vertex(pruned.right_names().name(r));
-    }
-  }
-  for (const auto& e : edges) merged.add_edge_unchecked(e.u, e.v, e.weight);
-  graph::save_csr_file(join(workdir, channel.csr), merged);
-}
-
-/// Labels-stage work: ground truth + simulated VirusTotal over the kept
-/// domains.
-void write_labels_file(const std::string& workdir, const PipelineConfig& config,
-                       const std::function<void()>& checkpoint) {
-  const auto truth = trace::load_ground_truth_file(join(workdir, "truth.gt"));
-  const auto kept =
-      parse_domain_list(util::load_artifact(join(workdir, "kept.domains"), "domain-list"),
-                        join(workdir, "kept.domains"));
-  checkpoint();
-  const intel::VirusTotalSim vt{truth, config.virustotal};
-  intel::save_labeled_file(join(workdir, "labeled.set"),
-                           intel::build_labeled_set(kept, truth, vt, config.labeling));
-}
-
-/// Report-stage work: per-channel SVM evaluation + clustering over the
-/// persisted artifacts only (nothing carried in memory from earlier
-/// stages). `quarantined` non-empty appends a degraded-run section, so a
-/// clean supervised run emits byte-identical bytes to an inline one.
-void write_report_file(const std::string& workdir, const PipelineConfig& config,
-                       const std::vector<std::string>& quarantined,
-                       const std::function<void()>& checkpoint) {
-  const auto path = [&](const char* file) { return join(workdir, file); };
-  PipelineResult result;
-  result.trace.truth = trace::load_ground_truth_file(path("truth.gt"));
-  const auto stats = parse_trace_stats(
-      util::load_artifact(path("trace.stats"), "trace-stats"), path("trace.stats"));
-  result.trace.dns_events = stats.dns_events;
-  result.trace.nxdomain_events = stats.nxdomain_events;
-  result.trace.flow_events = stats.flow_events;
-  result.model.kept_domains = parse_domain_list(
-      util::load_artifact(path("kept.domains"), "domain-list"), path("kept.domains"));
-  result.model.query_similarity = graph::from_csr(graph::load_csr_file(path("query_sim.csr")));
-  result.model.ip_similarity = graph::from_csr(graph::load_csr_file(path("ip_sim.csr")));
-  result.model.temporal_similarity =
-      graph::from_csr(graph::load_csr_file(path("temporal_sim.csr")));
-  result.query_embedding = embed::EmbeddingMatrix::load_arena_file(path("query.emb"));
-  result.ip_embedding = embed::EmbeddingMatrix::load_arena_file(path("ip.emb"));
-  result.temporal_embedding = embed::EmbeddingMatrix::load_arena_file(path("temporal.emb"));
-  result.combined_embedding = embed::EmbeddingMatrix::load_arena_file(path("combined.emb"));
-  result.labels = intel::load_labeled_file(path("labeled.set"));
-  checkpoint();
-
-  const auto evals = evaluate_channels(result, config);
-  checkpoint();
-  const auto clusters = cluster_domains(result.combined_embedding, result.model.kept_domains,
-                                        result.trace.truth, config.xmeans);
-  checkpoint();
-  std::ostringstream report;
-  write_detection_report(report, result, evals, clusters);
-  if (!quarantined.empty()) {
-    report << "\n## Degraded run\n\n"
-           << quarantined.size()
-           << " shard task(s) exhausted their retry budget and were quarantined; the "
-              "similarity graphs and everything derived from them are partial:\n\n";
-    for (const auto& task : quarantined) report << "- `" << task << "`\n";
-  }
-  util::fsio::atomic_write_file(path("report.md"), report.str());
-}
-
 }  // namespace
 
 // ---------------------------------------------------------- config hash
@@ -630,7 +840,7 @@ void write_report_file(const std::string& workdir, const PipelineConfig& config,
 std::string hash_pipeline_config(const PipelineConfig& config) {
   std::ostringstream out;
   out.precision(17);
-  out << "run-config 3";
+  out << "run-config 4";
   out << " trace=" << config.trace.seed << ',' << config.trace.campaign_seed << ','
       << config.trace.hosts << ',' << config.trace.days << ',' << config.trace.benign_sites
       << ',' << config.trace.malware_families;
@@ -667,7 +877,7 @@ std::string hash_pipeline_config(const PipelineConfig& config) {
 
 RunSummary run_resumable(const RunOptions& options) {
   if (options.workdir.empty()) throw std::invalid_argument{"run_resumable: empty workdir"};
-  obs::StageSpan run_span{"run.pipeline"};
+  obs::StageSpan run_span{"pipeline.run"};
   util::fsio::create_directories(options.workdir);
 
   Manifest previous;
@@ -680,169 +890,55 @@ RunSummary run_resumable(const RunOptions& options) {
     supervisor->reset_scratch(hash_pipeline_config(options.config), options.resume);
   }
   StageDriver driver{options, std::move(previous), supervisor ? &*supervisor : nullptr};
-  const auto& specs = stage_specs();
-  const auto path = [&](const char* file) { return join(options.workdir, file); };
-  /// Every artifact of a stage, for a task that writes them all.
-  const auto spec_outputs = [&](const StageSpec& spec) {
-    std::vector<WorkerTask::Output> outputs;
-    for (const auto& artifact : spec.artifacts) {
-      outputs.push_back({path(artifact.file), artifact.kind});
-    }
-    return outputs;
-  };
-  const PipelineConfig& config = options.config;
-  using Checkpoint = std::function<void()>;
-
-  // Projection pair-shards per channel. Inline, sketched (not
-  // pair-shardable) and --shards 1 runs have one shard, which writes the
-  // channel's final CSR itself; more shards write partials under sv/ that
-  // the behavior join merges.
+  ArtifactStore store{options.workdir};
+  // Inline, sketched (not pair-shardable) and --shards 1 runs have one
+  // projection shard per channel.
   const std::size_t shard_count =
-      !supervisor || config.projection_mode == graph::ProjectionMode::kSketched
+      !supervisor || options.config.projection_mode == graph::ProjectionMode::kSketched
           ? 1
           : std::max<std::size_t>(1, options.supervise.projection_shards);
-  const auto shard_task = [](const ChannelSpec& channel, std::size_t s) {
-    return std::string{"behavior."} + channel.name + ".s" + std::to_string(s);
-  };
-  const auto shard_file = [&](const ChannelSpec& channel, std::size_t s) {
-    return shard_count == 1 ? path(channel.csr)
-                            : supervisor->scratch_path(std::string{channel.name} + ".s" +
-                                                       std::to_string(s) + ".csr");
-  };
-
-  std::vector<Stage> stages;
-
-  // trace: synthesize the campus capture into the three bipartite graphs
-  // plus the ground-truth registry.
-  stages.push_back({specs[0],
-                    {{.name = "trace",
-                      .outputs = spec_outputs(specs[0]),
-                      .body = [&](const Checkpoint& checkpoint) {
-                        GraphBuilderSink graphs;
-                        const auto trace_result = trace::generate_trace(config.trace, graphs);
-                        checkpoint();
-                        graph::save_bipartite_file(path("hdbg.bg"), graphs.take_hdbg());
-                        graph::save_bipartite_file(path("dibg.bg"), graphs.take_dibg());
-                        graph::save_bipartite_file(path("dtbg.bg"), graphs.take_dtbg());
-                        trace::save_ground_truth_file(path("truth.gt"), trace_result.truth);
-                        util::save_artifact(path("trace.stats"), "trace-stats",
-                                            trace_stats_payload({trace_result.dns_events,
-                                                                 trace_result.nxdomain_events,
-                                                                 trace_result.flow_events}));
-                      }}},
-                    {}});
-
-  // behavior: prune + project the reloaded bipartite graphs, one task per
-  // channel pair-shard. Quarantined shards leave their pairs out and flag
-  // the run.
-  stages.push_back({specs[1], {}, {}});
-  stages.back().tasks.push_back(
-      {.name = "behavior.prune",
-       .outputs = {{path("kept.domains"), "domain-list"}},
-       .body = [&](const Checkpoint&) {
-         const auto pruned = pruned_channel_graph(options.workdir, kChannels[0], config);
-         std::vector<std::string> kept;
-         kept.reserve(pruned.right_count());
-         for (graph::VertexId r = 0; r < pruned.right_count(); ++r) {
-           kept.push_back(pruned.right_names().name(r));
-         }
-         util::save_artifact(path("kept.domains"), "domain-list", domain_list_payload(kept));
-       }});
-  for (const auto& channel : kChannels) {
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      const auto file = shard_file(channel, s);
-      // Only sv/ partials are reusable: the scratch config hash gates them,
-      // while final artifacts are reused at stage granularity.
-      stages.back().tasks.push_back(
-          {.name = shard_task(channel, s),
-           .quarantinable = true,
-           .reusable = shard_count > 1,
-           .outputs = {{file, "csr-graph"}},
-           .body = [&, channel, file, s](const Checkpoint& checkpoint) {
-             graph::ProjectionOptions proj = config.behavior.*channel.projection;
-             proj.threads = config.projection_threads;
-             proj.mode = config.projection_mode;
-             proj.sketch = config.sketch;
-             proj.pair_shard_index = s;
-             proj.pair_shard_count = shard_count;
-             const auto pruned = pruned_channel_graph(options.workdir, channel, config);
-             checkpoint();
-             graph::save_csr_file(file, graph::project_right(pruned, proj));
-           }});
-    }
-  }
-  stages.back().join = [&] {
-    const auto& quarantined = driver.quarantined();
-    for (const auto& channel : kChannels) {
-      std::vector<std::string> partials;
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        if (!std::binary_search(quarantined.begin(), quarantined.end(),
-                                shard_task(channel, s))) {
-          partials.push_back(shard_file(channel, s));
-        }
-      }
-      if (shard_count > 1 || partials.empty()) {
-        merge_channel_shards(options.workdir, channel, config, partials);
-      }
-    }
-  };
-
-  // embed: one LINE embedding per similarity graph, then the concatenated
-  // vector. The CSR graphs are memory-mapped, not parsed: LINE's edge
-  // sampler reads the mapped sections in place. LINE is bit-deterministic
-  // at any thread count, so worker placement cannot change the arenas.
-  stages.push_back({specs[2], {}, {}});
-  for (std::size_t c = 0; c < std::size(kChannels); ++c) {
-    const ChannelSpec channel = kChannels[c];
-    stages.back().tasks.push_back(
-        {.name = std::string{"embed."} + channel.name,
-         .outputs = {{path(channel.embedding), "embedding-arena"}},
-         .body = [&, channel, c](const Checkpoint& checkpoint) {
-           embed::EmbedConfig embed_config = config.embedding;
-           embed_config.dimension = config.embedding_dimension;
-           embed_config.seed = config.seed + c;
-           const auto csr = graph::load_csr_file(path(channel.csr));
-           checkpoint();
-           embed::embed_graph(csr, embed_config).save_arena_file(path(channel.embedding));
-         }});
-  }
-  stages.back().join = [&] {
-    const auto kept = parse_domain_list(
-        util::load_artifact(path("kept.domains"), "domain-list"), path("kept.domains"));
-    std::vector<embed::EmbeddingMatrix> parts;
-    for (const auto& channel : kChannels) {
-      parts.push_back(embed::EmbeddingMatrix::load_arena_file(path(channel.embedding)));
-    }
-    embed::EmbeddingMatrix::concat(kept, {&parts[0], &parts[1], &parts[2]})
-        .save_arena_file(path("combined.emb"));
-  };
-
-  // labels: ground truth + simulated VirusTotal over the kept domains.
-  stages.push_back({specs[3],
-                    {{.name = "labels",
-                      .outputs = spec_outputs(specs[3]),
-                      .body = [&](const Checkpoint& checkpoint) {
-                        write_labels_file(options.workdir, config, checkpoint);
-                      }}},
-                    {}});
-
-  // report: the quarantine list is final when this body runs, since the
-  // behavior stage (the only producer of quarantinable tasks) is done.
-  stages.push_back({specs[4],
-                    {{.name = "report",
-                      .outputs = spec_outputs(specs[4]),
-                      .body = [&](const Checkpoint& checkpoint) {
-                        write_report_file(options.workdir, config, driver.quarantined(),
-                                          checkpoint);
-                      }}},
-                    {}});
+  const auto stages =
+      pipeline_stages({store, options.config, nullptr, shard_count, driver.quarantined()});
 
   RunSummary summary;
-  summary.report_path = path("report.md");
+  summary.report_path = store.path("report.md");
   for (const auto& stage : stages) driver.stage(stage, summary);
   if (supervisor) summary.supervision = supervisor->stats();
   summary.quarantined = driver.quarantined();
   return summary;
+}
+
+PipelineResult run_pipeline(const PipelineConfig& config, trace::TraceSink* observer) {
+  obs::StageSpan run_span{"pipeline.run"};
+  ArtifactStore store{""};
+  const std::vector<std::string> quarantined;
+  for (const auto& stage : pipeline_stages({store, config, observer, 1, quarantined})) {
+    // Detection and clustering are the caller's per-experiment variables.
+    if (std::string_view{stage.spec.name} == "report") break;
+    obs::StageSpan span{std::string{"pipeline."} + stage.spec.name};
+    run_inline(stage, [] {});
+  }
+  PipelineResult result = load_result(store);
+  result.model.hdbg = load_bipartite(store, "hdbg.bg");
+  result.model.dibg = load_bipartite(store, "dibg.bg");
+  result.model.dtbg = load_bipartite(store, "dtbg.bg");
+  return result;
+}
+
+ChannelEvaluations evaluate_channels(const PipelineResult& result,
+                                     const PipelineConfig& config) {
+  obs::StageSpan span{"pipeline.svm"};
+  ChannelEvaluations evals;
+  const auto run = [&](const char* channel, const embed::EmbeddingMatrix& embedding) {
+    OBS_SPAN(channel);
+    return evaluate_svm(make_dataset(embedding, result.labels), config.svm, config.kfold,
+                        config.seed);
+  };
+  evals.query = run("pipeline.svm.query", result.query_embedding);
+  evals.ip = run("pipeline.svm.ip", result.ip_embedding);
+  evals.temporal = run("pipeline.svm.temporal", result.temporal_embedding);
+  evals.combined = run("pipeline.svm.combined", result.combined_embedding);
+  return evals;
 }
 
 }  // namespace dnsembed::core

@@ -12,11 +12,12 @@
 // under the Supervisor — and either way the stage then commits its
 // artifacts through one commit path.
 //
-// Every stage boundary is a disk round-trip even on a fresh run (a stage
-// always loads its inputs from the previous stage's artifacts), so an
-// interrupted run resumed later produces a bit-identical report to an
-// uninterrupted one by construction — there is no separate in-memory fast
-// path, and no second copy of any stage, to diverge from.
+// Every task reads its inputs from the previous stage's artifacts, even on
+// a fresh run, so an interrupted run resumed later produces a bit-identical
+// report to an uninterrupted one by construction. run_pipeline
+// (core/pipeline.hpp) is the same table with the artifacts kept in memory
+// instead of under a workdir; there is no second copy of any stage to
+// diverge from.
 #pragma once
 
 #include <stdexcept>

@@ -135,23 +135,37 @@ namespace {
   throw util::CorruptArtifact{context, std::move(reason)};
 }
 
-}  // namespace
-
-void EmbeddingMatrix::save_arena_file(const std::string& path) const {
-  util::DenseMatrix::build(names_, dimension_, data_).save_file(path);
-}
-
-EmbeddingMatrix EmbeddingMatrix::load_arena_file(const std::string& path) {
-  const util::DenseMatrix m = util::DenseMatrix::load_file(path);
-  if (m.cols() == 0) bad_embedding(path, "embedding arena: zero dimension");
+EmbeddingMatrix from_dense(const util::DenseMatrix& m, const std::string& context) {
+  if (m.cols() == 0) bad_embedding(context, "embedding arena: zero dimension");
   EmbeddingMatrix out;
   try {
     out = EmbeddingMatrix{m.names_copy(), m.cols()};
   } catch (const std::invalid_argument& e) {
-    bad_embedding(path, e.what());
+    bad_embedding(context, e.what());
   }
-  std::copy(m.data().begin(), m.data().end(), out.data_.begin());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    std::copy(m.row(i).begin(), m.row(i).end(), out.row(i).begin());
+  }
   return out;
+}
+
+}  // namespace
+
+std::string EmbeddingMatrix::arena_payload() const {
+  return util::DenseMatrix::build(names_, dimension_, data_).payload();
+}
+
+EmbeddingMatrix EmbeddingMatrix::parse_arena_payload(std::string_view payload,
+                                                     const std::string& context) {
+  return from_dense(util::DenseMatrix::from_payload(payload, context), context);
+}
+
+void EmbeddingMatrix::save_arena_file(const std::string& path) const {
+  util::save_artifact(path, util::kDenseMatrixKind, arena_payload());
+}
+
+EmbeddingMatrix EmbeddingMatrix::load_arena_file(const std::string& path) {
+  return from_dense(util::DenseMatrix::load_file(path), path);
 }
 
 void EmbeddingMatrix::rebuild_index() {

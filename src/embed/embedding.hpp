@@ -57,8 +57,11 @@ class EmbeddingMatrix {
   /// DenseMatrix, kind "embedding-arena") written atomically and
   /// checksummed, raw f32 sections loaded via mmap, round-tripping every
   /// coordinate bit-exactly. `run`, `embed` and `serve` all write or read
-  /// it. load_arena_file throws util::CorruptArtifact on a damaged
+  /// it. The parse and load forms throw util::CorruptArtifact on a damaged
   /// container or arena.
+  std::string arena_payload() const;
+  static EmbeddingMatrix parse_arena_payload(std::string_view payload,
+                                             const std::string& context);
   void save_arena_file(const std::string& path) const;
   static EmbeddingMatrix load_arena_file(const std::string& path);
 

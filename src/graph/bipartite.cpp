@@ -6,13 +6,28 @@
 namespace dnsembed::graph {
 
 void BipartiteGraph::add_edge(std::string_view left, std::string_view right) {
+  add_edge(add_left(left), add_right(right));
+}
+
+VertexId BipartiteGraph::add_left(std::string_view name) {
+  const VertexId id = left_names_.intern(name);
+  if (id >= left_adj_.size()) left_adj_.resize(id + 1);
+  return id;
+}
+
+VertexId BipartiteGraph::add_right(std::string_view name) {
+  const VertexId id = right_names_.intern(name);
+  if (id >= right_adj_.size()) right_adj_.resize(id + 1);
+  return id;
+}
+
+void BipartiteGraph::add_edge(VertexId left, VertexId right) {
+  if (left >= left_adj_.size() || right >= right_adj_.size()) {
+    throw std::out_of_range{"BipartiteGraph::add_edge: unknown vertex id"};
+  }
   finalized_ = false;
-  const VertexId l = left_names_.intern(left);
-  const VertexId r = right_names_.intern(right);
-  if (l >= left_adj_.size()) left_adj_.resize(l + 1);
-  if (r >= right_adj_.size()) right_adj_.resize(r + 1);
-  left_adj_[l].push_back(r);
-  right_adj_[r].push_back(l);
+  left_adj_[left].push_back(right);
+  right_adj_[right].push_back(left);
 }
 
 void BipartiteGraph::finalize() {

@@ -22,6 +22,14 @@ class BipartiteGraph {
   /// Record one left-right interaction (idempotent after finalize()).
   void add_edge(std::string_view left, std::string_view right);
 
+  /// Intern one vertex, edges or not, and return its id (a known name keeps
+  /// its id). Loaders use these to restore a saved graph's exact id order.
+  VertexId add_left(std::string_view name);
+  VertexId add_right(std::string_view name);
+
+  /// Record one interaction between vertices that already exist.
+  void add_edge(VertexId left, VertexId right);
+
   /// Deduplicate and sort adjacency lists. Idempotent; called automatically
   /// by accessors via assertion in debug, but callers should finalize once
   /// after the build loop.

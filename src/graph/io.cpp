@@ -1,13 +1,8 @@
 #include "graph/io.hpp"
 
-#include <charconv>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
 #include "util/artifact.hpp"
-#include "util/bithex.hpp"
 #include "util/csv.hpp"
 
 namespace dnsembed::graph {
@@ -23,24 +18,6 @@ void save_bipartite_csv(std::ostream& out, const BipartiteGraph& g) {
   }
 }
 
-BipartiteGraph load_bipartite_csv(std::istream& in) {
-  BipartiteGraph g;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto fields = util::parse_csv_line(line);
-    if (line_no == 1 && fields.size() == 2 && fields[0] == "left") continue;  // header
-    if (fields.size() != 2 || fields[0].empty() || fields[1].empty()) {
-      throw std::runtime_error{"bipartite CSV: bad line " + std::to_string(line_no)};
-    }
-    g.add_edge(fields[0], fields[1]);
-  }
-  g.finalize();
-  return g;
-}
-
 void save_weighted_csv(std::ostream& out, const WeightedGraph& g) {
   util::CsvWriter csv{out};
   csv.write_row({"u", "v", "weight"});
@@ -52,147 +29,105 @@ void save_weighted_csv(std::ostream& out, const WeightedGraph& g) {
   }
 }
 
-WeightedGraph load_weighted_csv(std::istream& in) {
-  WeightedGraph g;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const auto fields = util::parse_csv_line(line);
-    if (line_no == 1 && fields.size() == 3 && fields[0] == "u") continue;  // header
-    if (fields.size() != 3 || fields[0].empty()) {
-      throw std::runtime_error{"weighted CSV: bad line " + std::to_string(line_no)};
-    }
-    if (fields[1].empty()) {
-      g.add_vertex(fields[0]);  // isolated vertex row
-      continue;
-    }
-    double weight = 0.0;
-    const auto& w = fields[2];
-    const auto [ptr, ec] = std::from_chars(w.data(), w.data() + w.size(), weight);
-    if (ec != std::errc{} || ptr != w.data() + w.size()) {
-      throw std::runtime_error{"weighted CSV: bad weight at line " + std::to_string(line_no)};
-    }
-    g.add_edge(fields[0], fields[1], weight);
-  }
-  return g;
-}
-
 namespace {
 
-constexpr std::string_view kWeightedKind = "weighted-graph";
-constexpr std::string_view kBipartiteKind = "bipartite-graph";
+constexpr std::uint64_t kTagLeftNames = util::arena_tag("LNAMB");
+constexpr std::uint64_t kTagLeftNameOffsets = util::arena_tag("LNAMO");
+constexpr std::uint64_t kTagRightNames = util::arena_tag("RNAMB");
+constexpr std::uint64_t kTagRightNameOffsets = util::arena_tag("RNAMO");
+constexpr std::uint64_t kTagAdjOffsets = util::arena_tag("LOFFS");
+constexpr std::uint64_t kTagAdjRights = util::arena_tag("LRIDS");
 
 [[noreturn]] void bad_payload(const std::string& context, std::string reason) {
   util::fsio::note_corrupt_detected();
   throw util::CorruptArtifact{context, std::move(reason)};
 }
 
-bool parse_size(std::string_view text, std::size_t& out) {
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
+/// One name table: the names back to back plus count+1 offsets into them.
+void add_names(util::ArenaWriter& writer, std::uint64_t blob_tag, std::uint64_t offsets_tag,
+               const util::StringInterner& names) {
+  std::string blob;
+  std::vector<std::uint64_t> offsets{0};
+  offsets.reserve(names.size() + 1);
+  for (const auto& name : names.names()) {
+    blob += name;
+    offsets.push_back(blob.size());
+  }
+  writer.add(blob_tag, blob.data(), blob.size());
+  writer.add_typed<std::uint64_t>(offsets_tag, offsets);
 }
 
-/// Pull the next '\n'-terminated line out of `payload` starting at `pos`.
-bool next_line(std::string_view payload, std::size_t& pos, std::string_view& line) {
-  if (pos >= payload.size()) return false;
-  const auto nl = payload.find('\n', pos);
-  if (nl == std::string_view::npos) {
-    line = payload.substr(pos);
-    pos = payload.size();
-  } else {
-    line = payload.substr(pos, nl - pos);
-    pos = nl + 1;
+/// Validated views of one name table.
+std::vector<std::string_view> read_names(const util::ArenaView& arena, std::uint64_t blob_tag,
+                                         std::uint64_t offsets_tag, const std::string& context) {
+  const auto blob = arena.section(blob_tag, context);
+  const auto offsets = arena.typed<std::uint64_t>(offsets_tag, context);
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != blob.size()) {
+    bad_payload(context, "bipartite arena: name offsets do not cover the blob");
   }
-  return true;
+  std::vector<std::string_view> names;
+  names.reserve(offsets.size() - 1);
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i] > offsets[i + 1] || offsets[i + 1] > blob.size()) {
+      bad_payload(context, "bipartite arena: name offsets not monotone");
+    }
+    names.push_back(blob.substr(offsets[i], offsets[i + 1] - offsets[i]));
+  }
+  return names;
 }
 
 }  // namespace
 
-std::string weighted_payload(const WeightedGraph& g) {
-  std::string out;
-  out += "vertices " + std::to_string(g.vertex_count()) + "\n";
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    out += g.names().name(v);
-    out += '\n';
+std::string bipartite_payload(const BipartiteGraph& g) {
+  util::ArenaWriter writer;
+  add_names(writer, kTagLeftNames, kTagLeftNameOffsets, g.left_names());
+  add_names(writer, kTagRightNames, kTagRightNameOffsets, g.right_names());
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<std::uint32_t> rights;
+  offsets.reserve(g.left_count() + 1);
+  rights.reserve(g.edge_count());
+  for (VertexId l = 0; l < g.left_count(); ++l) {
+    const auto neighbors = g.left_neighbors(l);
+    rights.insert(rights.end(), neighbors.begin(), neighbors.end());
+    offsets.push_back(rights.size());
   }
-  out += "edges " + std::to_string(g.edge_count()) + "\n";
-  for (const auto& e : g.edges()) {
-    out += std::to_string(e.u) + " " + std::to_string(e.v) + " " +
-           util::double_to_hex(e.weight) + "\n";
-  }
-  return out;
+  writer.add_typed<std::uint64_t>(kTagAdjOffsets, offsets);
+  writer.add_typed<std::uint32_t>(kTagAdjRights, rights);
+  return writer.payload(kBipartiteKind);
 }
 
-WeightedGraph parse_weighted_payload(std::string_view payload, const std::string& context) {
-  std::size_t pos = 0;
-  std::string_view line;
-  if (!next_line(payload, pos, line) || line.substr(0, 9) != "vertices ") {
-    bad_payload(context, "weighted payload: missing vertices header");
+BipartiteGraph parse_bipartite_payload(std::string_view payload, const std::string& context) {
+  const auto arena = util::ArenaView::parse(payload, context);
+  const auto lefts = read_names(arena, kTagLeftNames, kTagLeftNameOffsets, context);
+  const auto right_names = read_names(arena, kTagRightNames, kTagRightNameOffsets, context);
+  const auto offsets = arena.typed<std::uint64_t>(kTagAdjOffsets, context);
+  const auto rights = arena.typed<std::uint32_t>(kTagAdjRights, context);
+  if (offsets.size() != lefts.size() + 1 || offsets.front() != 0 ||
+      offsets.back() != rights.size()) {
+    bad_payload(context, "bipartite arena: adjacency offsets do not cover the edges");
   }
-  std::size_t vertex_count = 0;
-  if (!parse_size(line.substr(9), vertex_count)) {
-    bad_payload(context, "weighted payload: bad vertex count");
+  BipartiteGraph g;
+  for (std::size_t i = 0; i < lefts.size(); ++i) {
+    if (g.add_left(lefts[i]) != i) bad_payload(context, "bipartite arena: duplicate left name");
   }
-  WeightedGraph g;
-  for (std::size_t v = 0; v < vertex_count; ++v) {
-    if (!next_line(payload, pos, line) || line.empty()) {
-      bad_payload(context, "weighted payload: truncated vertex list");
+  for (std::size_t i = 0; i < right_names.size(); ++i) {
+    if (g.add_right(right_names[i]) != i) {
+      bad_payload(context, "bipartite arena: duplicate right name");
     }
-    g.add_vertex(line);
   }
-  if (!next_line(payload, pos, line) || line.substr(0, 6) != "edges ") {
-    bad_payload(context, "weighted payload: missing edges header");
-  }
-  std::size_t edge_count = 0;
-  if (!parse_size(line.substr(6), edge_count)) {
-    bad_payload(context, "weighted payload: bad edge count");
-  }
-  for (std::size_t i = 0; i < edge_count; ++i) {
-    if (!next_line(payload, pos, line)) {
-      bad_payload(context, "weighted payload: truncated edge list");
+  for (VertexId l = 0; l < lefts.size(); ++l) {
+    if (offsets[l] > offsets[l + 1] || offsets[l + 1] > rights.size()) {
+      bad_payload(context, "bipartite arena: adjacency offsets not monotone");
     }
-    const auto sp1 = line.find(' ');
-    const auto sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-    std::size_t u = 0;
-    std::size_t v = 0;
-    double weight = 0.0;
-    if (sp2 == std::string_view::npos || !parse_size(line.substr(0, sp1), u) ||
-        !parse_size(line.substr(sp1 + 1, sp2 - sp1 - 1), v) ||
-        !util::hex_to_double(line.substr(sp2 + 1), weight) || u >= vertex_count ||
-        v >= vertex_count || u == v || !(weight > 0.0)) {
-      bad_payload(context, "weighted payload: bad edge at row " + std::to_string(i));
+    for (std::uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
+      if (rights[e] >= right_names.size()) {
+        bad_payload(context, "bipartite arena: right id out of range");
+      }
+      g.add_edge(l, rights[e]);
     }
-    g.add_edge_unchecked(static_cast<VertexId>(u), static_cast<VertexId>(v), weight);
   }
-  if (pos != payload.size()) {
-    bad_payload(context, "weighted payload: trailing bytes after edge list");
-  }
+  g.finalize();
   return g;
-}
-
-void save_weighted_file(const std::string& path, const WeightedGraph& g) {
-  util::save_artifact(path, kWeightedKind, weighted_payload(g));
-}
-
-WeightedGraph load_weighted_file(const std::string& path) {
-  return parse_weighted_payload(util::load_artifact(path, kWeightedKind), path);
-}
-
-void save_bipartite_file(const std::string& path, const BipartiteGraph& g) {
-  std::ostringstream payload;
-  save_bipartite_csv(payload, g);
-  util::save_artifact(path, kBipartiteKind, payload.str());
-}
-
-BipartiteGraph load_bipartite_file(const std::string& path) {
-  std::istringstream payload{util::load_artifact(path, kBipartiteKind)};
-  try {
-    return load_bipartite_csv(payload);
-  } catch (const std::runtime_error& e) {
-    bad_payload(path, e.what());
-  }
 }
 
 util::CsrGraph to_csr(const WeightedGraph& g) {
@@ -226,10 +161,6 @@ WeightedGraph from_csr(const util::CsrGraph& g) {
     out.add_edge_unchecked(eu[i], ev[i], ew[i]);
   }
   return out;
-}
-
-void save_csr_file(const std::string& path, const WeightedGraph& g) {
-  to_csr(g).save_file(path);
 }
 
 util::CsrGraph load_csr_file(const std::string& path) {

@@ -1,6 +1,7 @@
-// Edge-list persistence for graphs (CSV): lets the CLI materialize the
+// Graph persistence: CSV edge-list exports that let the CLI materialize the
 // bipartite graphs and similarity graphs for inspection in other tools
-// (gephi, networkx, spreadsheets) and round-trip them in tests.
+// (gephi, networkx, spreadsheets), and the binary durable forms the
+// pipeline's artifacts use.
 #pragma once
 
 #include <iosfwd>
@@ -15,53 +16,41 @@ namespace dnsembed::graph {
 /// "left,right" rows, one per distinct edge, with a header line.
 void save_bipartite_csv(std::ostream& out, const BipartiteGraph& g);
 
-/// Parse back; throws std::runtime_error on malformed rows. Result is
-/// finalized.
-BipartiteGraph load_bipartite_csv(std::istream& in);
-
 /// "u,v,weight" rows plus isolated vertices as "name,," rows.
 void save_weighted_csv(std::ostream& out, const WeightedGraph& g);
 
-WeightedGraph load_weighted_csv(std::istream& in);
+// --- Durable artifact forms. The CSV stream forms above are the
+// human/interop format (gephi, spreadsheets); the forms below are the
+// pipeline's durable intermediates, payloads of checksummed containers
+// (util/artifact.hpp).
 
-// --- Durable artifact forms (crash-safe file persistence). The CSV
-// stream forms above are the human/interop format (gephi, spreadsheets);
-// the artifact forms below are the pipeline's durable intermediates:
-// checksummed containers written atomically, with weights stored by bit
-// pattern so a reloaded graph reproduces embeddings bit-identically.
+/// Artifact kind of bipartite_payload.
+inline constexpr std::string_view kBipartiteKind = "bipartite-arena";
 
-/// Artifact payload for a weighted graph: vertex names in id order, then
-/// edges as index pairs with IEEE-754 bit-pattern weights (exact
-/// round-trip, unlike decimal CSV).
-std::string weighted_payload(const WeightedGraph& g);
-/// Inverse of weighted_payload; throws util::CorruptArtifact (with
-/// `context` as the path) on any malformed row.
-WeightedGraph parse_weighted_payload(std::string_view payload, const std::string& context);
-
-/// Atomic, checksummed file forms. load_* throw util::CorruptArtifact on a
-/// damaged container and util::fsio::IoError on unreadable paths.
-void save_weighted_file(const std::string& path, const WeightedGraph& g);
-WeightedGraph load_weighted_file(const std::string& path);
-
-void save_bipartite_file(const std::string& path, const BipartiteGraph& g);
-BipartiteGraph load_bipartite_file(const std::string& path);
+/// Arena payload for a finalized bipartite graph: both vertex-name lists
+/// in id order, then each left vertex's sorted right ids. Ids round-trip
+/// exactly (isolated vertices included), so a reloaded graph numbers its
+/// vertices like the graph that was saved and everything projected from
+/// it is bit-identical.
+std::string bipartite_payload(const BipartiteGraph& g);
+/// Inverse of bipartite_payload; throws util::CorruptArtifact (with
+/// `context` as the path) on any structural defect. Result is finalized.
+BipartiteGraph parse_bipartite_payload(std::string_view payload, const std::string& context);
 
 // --- CSR arena forms (util/csr.hpp). Binary struct-of-arrays payloads
 // with a memory-mapped zero-copy load path: the durable similarity-graph
 // format at million-domain scale. Weights round-trip by bit pattern (raw
-// f64 sections), so a reloaded graph reproduces embeddings bit-identically
-// just like the text artifact form.
+// f64 sections), so a reloaded graph reproduces embeddings bit-identically.
 
 /// Convert to the CSR arena form. Edge order is preserved (LINE's edge
 /// sampler addresses edges positionally).
 util::CsrGraph to_csr(const WeightedGraph& g);
 
-/// Materialize a mutable WeightedGraph from a CSR arena (CSV export and
-/// other interop paths; the pipeline itself consumes CsrGraph directly).
+/// Materialize a mutable WeightedGraph from a CSR arena (PipelineResult's
+/// similarity graphs, interop; LINE consumes CsrGraph directly).
 WeightedGraph from_csr(const util::CsrGraph& g);
 
-/// Atomic checksummed save / mmap zero-copy load of the CSR form.
-void save_csr_file(const std::string& path, const WeightedGraph& g);
+/// mmap zero-copy load of the CSR form (util::CsrGraph::load_file).
 util::CsrGraph load_csr_file(const std::string& path);
 
 }  // namespace dnsembed::graph

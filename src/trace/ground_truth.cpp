@@ -158,20 +158,28 @@ GroundTruth load_ground_truth(std::istream& in) {
   return truth;
 }
 
-void save_ground_truth_file(const std::string& path, const GroundTruth& truth) {
+std::string ground_truth_payload(const GroundTruth& truth) {
   std::ostringstream payload;
   save_ground_truth(payload, truth);
-  util::save_artifact(path, "ground-truth", payload.str());
+  return payload.str();
+}
+
+GroundTruth parse_ground_truth_payload(std::string_view payload, const std::string& context) {
+  std::istringstream in{std::string{payload}};
+  try {
+    return load_ground_truth(in);
+  } catch (const std::exception& e) {  // add_family rejects duplicates with logic_error
+    util::fsio::note_corrupt_detected();
+    throw util::CorruptArtifact{context, e.what()};
+  }
+}
+
+void save_ground_truth_file(const std::string& path, const GroundTruth& truth) {
+  util::save_artifact(path, "ground-truth", ground_truth_payload(truth));
 }
 
 GroundTruth load_ground_truth_file(const std::string& path) {
-  std::istringstream payload{util::load_artifact(path, "ground-truth")};
-  try {
-    return load_ground_truth(payload);
-  } catch (const std::exception& e) {  // add_family rejects duplicates with logic_error
-    util::fsio::note_corrupt_detected();
-    throw util::CorruptArtifact{path, e.what()};
-  }
+  return parse_ground_truth_payload(util::load_artifact(path, "ground-truth"), path);
 }
 
 }  // namespace dnsembed::trace

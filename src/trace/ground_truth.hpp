@@ -92,7 +92,9 @@ void save_ground_truth(std::ostream& out, const GroundTruth& truth);
 GroundTruth load_ground_truth(std::istream& in);
 
 /// Durable artifact persistence (kind "ground-truth"): atomic, checksummed.
-/// load_ground_truth_file throws util::CorruptArtifact on damage.
+/// The parse and load forms throw util::CorruptArtifact on damage.
+std::string ground_truth_payload(const GroundTruth& truth);
+GroundTruth parse_ground_truth_payload(std::string_view payload, const std::string& context);
 void save_ground_truth_file(const std::string& path, const GroundTruth& truth);
 GroundTruth load_ground_truth_file(const std::string& path);
 

@@ -89,24 +89,11 @@ void ArenaWriter::add(std::uint64_t tag, const void* data, std::size_t size) {
 
 std::string ArenaWriter::payload(std::string_view kind) const {
   const std::size_t n = sections_.size();
-  std::string body;
   std::size_t body_size = 16 + n * 24;
   std::vector<std::uint64_t> offsets(n);
   for (std::size_t i = 0; i < n; ++i) {
     offsets[i] = body_size;
     body_size = align8(body_size + sections_[i].bytes.size());
-  }
-  body.reserve(body_size);
-  append_u64(body, kArenaMagic);
-  append_u64(body, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    append_u64(body, sections_[i].tag);
-    append_u64(body, offsets[i]);
-    append_u64(body, sections_[i].bytes.size());
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    body += sections_[i].bytes;
-    body.append(align8(body.size()) - body.size(), '\0');
   }
 
   // Pick the pad so the body starts at a file offset divisible by 8 once
@@ -116,15 +103,28 @@ std::string ArenaWriter::payload(std::string_view kind) const {
   // solution under 24 always exists.
   std::size_t pad = 0;
   while (pad < 24) {
-    const std::size_t payload_size = 1 + pad + body.size();
+    const std::size_t payload_size = 1 + pad + body_size;
     if ((artifact_payload_offset(kind, payload_size) + 1 + pad) % 8 == 0) break;
     ++pad;
   }
+
+  // The body is written in place after the prologue: no intermediate copy.
   std::string out;
-  out.reserve(1 + pad + body.size());
+  out.reserve(1 + pad + body_size);
   out.push_back(static_cast<char>(pad));
   out.append(pad, '\0');
-  out += body;
+  const std::size_t body_start = out.size();
+  append_u64(out, kArenaMagic);
+  append_u64(out, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    append_u64(out, sections_[i].tag);
+    append_u64(out, offsets[i]);
+    append_u64(out, sections_[i].bytes.size());
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    out += sections_[i].bytes;
+    out.append(align8(out.size() - body_start) - (out.size() - body_start), '\0');
+  }
   return out;
 }
 

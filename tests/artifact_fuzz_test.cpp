@@ -81,27 +81,19 @@ std::string artifact_bytes_of(const std::function<void(const std::string&)>& sav
   return bytes;
 }
 
-TEST(ArtifactFuzz, WeightedGraph) {
-  graph::WeightedGraph g;
-  g.add_edge("alpha.test", "beta.test", 0.75);
-  g.add_edge("beta.test", "gamma.test", 0.125);
-  g.add_edge("alpha.test", "gamma.test", 1.0 / 3.0);
-  const auto pristine =
-      artifact_bytes_of([&](const std::string& p) { graph::save_weighted_file(p, g); });
-  fuzz_loader("weighted", pristine,
-              [](const std::string& p) { (void)graph::load_weighted_file(p); });
-}
-
 TEST(ArtifactFuzz, BipartiteGraph) {
+  // Binary arena ("bipartite-arena"): two name tables plus the left
+  // adjacency; an isolated right vertex exercises the id-preserving path.
   graph::BipartiteGraph g;
   g.add_edge("host-1", "alpha.test");
   g.add_edge("host-1", "beta.test");
   g.add_edge("host-2", "alpha.test");
+  g.add_right("isolated.test");
   g.finalize();
-  const auto pristine =
-      artifact_bytes_of([&](const std::string& p) { graph::save_bipartite_file(p, g); });
-  fuzz_loader("bipartite", pristine,
-              [](const std::string& p) { (void)graph::load_bipartite_file(p); });
+  const auto pristine = util::make_artifact(graph::kBipartiteKind, graph::bipartite_payload(g));
+  fuzz_loader("bipartite", pristine, [](const std::string& p) {
+    (void)graph::parse_bipartite_payload(util::load_artifact(p, graph::kBipartiteKind), p);
+  });
 }
 
 TEST(ArtifactFuzz, CsrGraphArena) {
@@ -114,7 +106,7 @@ TEST(ArtifactFuzz, CsrGraphArena) {
   g.add_edge("beta.test", "gamma.test", 0.125);
   g.add_edge("alpha.test", "gamma.test", 1.0 / 3.0);
   const auto pristine =
-      artifact_bytes_of([&](const std::string& p) { graph::save_csr_file(p, g); });
+      artifact_bytes_of([&](const std::string& p) { graph::to_csr(g).save_file(p); });
   fuzz_loader("csr_graph", pristine,
               [](const std::string& p) { (void)graph::load_csr_file(p); });
 }

@@ -141,16 +141,23 @@ class SmallPipeline : public ::testing::Test {
     return cfg;
   }
 
-  static void SetUpTestSuite() { result_ = new PipelineResult{run_pipeline(config())}; }
+  static void SetUpTestSuite() {
+    events_ = new trace::CollectingSink;
+    result_ = new PipelineResult{run_pipeline(config(), events_)};
+  }
   static void TearDownTestSuite() {
     delete result_;
     result_ = nullptr;
+    delete events_;
+    events_ = nullptr;
   }
 
   static PipelineResult* result_;
+  static trace::CollectingSink* events_;  // the trace's raw events
 };
 
 PipelineResult* SmallPipeline::result_ = nullptr;
+trace::CollectingSink* SmallPipeline::events_ = nullptr;
 
 TEST_F(SmallPipeline, ProducesConsistentStructures) {
   const auto& r = *result_;
@@ -161,7 +168,9 @@ TEST_F(SmallPipeline, ProducesConsistentStructures) {
   const double frac = static_cast<double>(r.labels.malicious_count()) /
                       static_cast<double>(r.labels.size());
   EXPECT_NEAR(frac, 0.3, 0.05);
-  EXPECT_FALSE(r.flows.empty());
+  EXPECT_EQ(events_->flows().size(), r.trace.flow_events);
+  EXPECT_FALSE(events_->flows().empty());
+  EXPECT_EQ(events_->dns().size(), r.trace.dns_events);
 }
 
 TEST_F(SmallPipeline, CombinedChannelDetectsWell) {
@@ -202,7 +211,7 @@ TEST_F(SmallPipeline, TrafficPatternsJoinFlowsToClusters) {
       cluster_domains(result_->combined_embedding, result_->model.kept_domains,
                       result_->trace.truth, xm);
   const auto pattern =
-      traffic_pattern_for(clusters.clusters.front(), result_->trace.truth, result_->flows);
+      traffic_pattern_for(clusters.clusters.front(), result_->trace.truth, events_->flows());
   EXPECT_GT(pattern.flows, 0u);
   EXPECT_GT(pattern.distinct_hosts, 0u);
   EXPECT_FALSE(pattern.server_ips.empty());
@@ -278,9 +287,13 @@ TEST_F(SmallPipeline, ReportRendersAllSections) {
   EXPECT_NE(report.find("## Detection quality"), std::string::npos);
   EXPECT_NE(report.find("## Most suspicious clusters"), std::string::npos);
   EXPECT_NE(report.find("| DNS events | "), std::string::npos);
-  EXPECT_NE(report.find("traffic: "), std::string::npos);
   // No placeholder artifacts.
   EXPECT_EQ(report.find("nan"), std::string::npos);
+
+  std::ostringstream appendix;
+  write_traffic_appendix(appendix, *result_, clusters, events_->flows());
+  EXPECT_NE(appendix.str().find("## Cluster traffic"), std::string::npos);
+  EXPECT_NE(appendix.str().find("traffic: "), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Supervised (multi-process) runner: at any worker and shard count the
-// report must be byte-identical to the inline (workers = 0) run; injected
+// report must be byte-identical to the inline (workers = 0) run and to the
+// report written from the in-memory driver (run_pipeline); injected
 // worker crashes, hangs, and garbage outputs must be detected, retried, and
 // still converge on the same bytes; a shard task that exhausts its retry
 // budget must be quarantined (degraded report + manifest row) and the
@@ -15,10 +16,12 @@
 #include <filesystem>
 #include <functional>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/report.hpp"
 #include "core/run.hpp"
 #include "core/supervisor.hpp"
 #include "obs/metrics.hpp"
@@ -59,13 +62,13 @@ RunOptions supervised_options(const std::string& workdir) {
   return options;
 }
 
-// A supervised run decomposes into trace, behavior.prune, 3 channels x
-// `shards` projection shards, 3 per-channel embeds, labels and report.
-constexpr std::size_t task_count(std::size_t shards) { return 7 + 3 * shards; }
+// A supervised run decomposes into trace, 3 channels x `shards`
+// projection shards, 3 per-channel embeds, labels and report.
+constexpr std::size_t task_count(std::size_t shards) { return 6 + 3 * shards; }
 
-// supervised_options() uses 2 shards: 13 tasks.
+// supervised_options() uses 2 shards: 12 tasks.
 constexpr std::size_t kTaskCount = task_count(2);
-static_assert(kTaskCount == 13);
+static_assert(kTaskCount == 12);
 
 class RunSupervisorTest : public ::testing::Test {
  protected:
@@ -91,6 +94,19 @@ class RunSupervisorTest : public ::testing::Test {
     return util::fsio::read_file(summary.report_path);
   }
 
+  /// The same config through the in-memory driver, reported by the calls
+  /// the durable report stage makes.
+  static std::string in_memory_report() {
+    const auto config = small_options("").config;
+    const auto result = run_pipeline(config);
+    const auto evals = evaluate_channels(result, config);
+    const auto clusters = cluster_domains(result.combined_embedding, result.model.kept_domains,
+                                          result.trace.truth, config.xmeans);
+    std::ostringstream out;
+    write_detection_report(out, result, evals, clusters);
+    return out.str();
+  }
+
   std::string dir_;
 };
 
@@ -109,9 +125,11 @@ class SupervisedReportTest : public RunSupervisorTest,
 
 // Every executor configuration must produce the inline (workers = 0)
 // report byte for byte — including one shard per channel, where the
-// projection task writes the final CSR itself as the inline executor does.
+// projection task writes the final CSR itself as the inline executor does
+// — and the inline report must equal the in-memory driver's.
 TEST_P(SupervisedReportTest, SupervisedReportMatchesSingleProcess) {
   const auto reference = reference_report();
+  EXPECT_EQ(reference, in_memory_report());
   const auto [workers, shards] = GetParam();
   const auto options_for = [&] {
     auto options = supervised_options(dir_);
@@ -144,6 +162,21 @@ INSTANTIATE_TEST_SUITE_P(WorkersShards, SupervisedReportTest,
                            return "workers" + std::to_string(info.param.workers) +
                                   "_shards" + std::to_string(info.param.shards);
                          });
+
+// A run killed right after ip.emb commits resumes to the in-memory
+// driver's report.
+TEST_F(RunSupervisorTest, CrashedAndResumedRunMatchesInMemoryReport) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto crash = small_options(dir_);
+  crash.crash_after_artifact = "ip.emb";
+  EXPECT_EXIT(run_resumable(crash), ::testing::ExitedWithCode(137), "");
+
+  auto resume = small_options(dir_);
+  resume.resume = true;
+  const auto summary = run_resumable(resume);
+  EXPECT_EQ(summary.resumed_stages, 2u);  // trace, behavior
+  EXPECT_EQ(util::fsio::read_file(summary.report_path), in_memory_report());
+}
 
 TEST_F(RunSupervisorTest, CrashedWorkersAreRetriedToIdenticalReport) {
   const auto reference = reference_report();
@@ -332,12 +365,12 @@ TEST_F(RunSupervisorTest, DeadlineMidStageLeavesWorkdirResumable) {
   const auto reference = reference_report();
 
   // Force the deadline to fire right after the first behavior artifact
-  // (kept.domains) commits: the stage aborts mid-way with some artifacts
+  // (query_sim.csr) commits: the stage aborts mid-way with some artifacts
   // committed and some not, which is exactly the state --resume must
   // recover from.
   auto options = small_options(dir_);
   options.stage_deadline_seconds = 30.0;
-  options.expire_deadline_after_artifact = "kept.domains";
+  options.expire_deadline_after_artifact = "query_sim.csr";
   EXPECT_THROW(run_resumable(options), StageDeadlineExceeded);
 
   options.stage_deadline_seconds = 0.0;
@@ -364,7 +397,7 @@ TEST_F(RunSupervisorTest, DeadlineMidStageLeavesSupervisedRunResumable) {
 
   auto options = supervised_options(dir_);
   options.stage_deadline_seconds = 30.0;
-  options.expire_deadline_after_artifact = "kept.domains";
+  options.expire_deadline_after_artifact = "query_sim.csr";
   EXPECT_THROW(run_resumable(options), StageDeadlineExceeded);
 
   options.stage_deadline_seconds = 0.0;

@@ -36,7 +36,9 @@
 #      distributed-label pass under ASan so the fork/waitpid/heartbeat
 #      paths run sanitized
 #   7. concurrency label (parallel projection, two-objective LINE threads,
-#      sharded metrics) under ThreadSanitizer
+#      sharded metrics) under ThreadSanitizer, plus the supervised
+#      stage-deadline test: the deadline is a time point, so no thread is
+#      alive when the supervisor forks its workers
 #
 # Usage: tools/ci_check.sh [--skip-sanitizers]
 # Runs from any directory; build trees land in <repo>/build[-asan|-tsan].
@@ -110,9 +112,10 @@ ctest --preset asan -j "$jobs"
 step "distributed label under ASan (fork/waitpid/heartbeat paths sanitized)"
 ctest --test-dir build-asan -j "$jobs" -L distributed --output-on-failure
 
-step "concurrency label under TSan"
+step "concurrency label and the supervised stage deadline under TSan"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs"
 ctest --preset tsan -j "$jobs"
+ctest --test-dir build-tsan -R 'DeadlineMidStageLeavesSupervisedRunResumable' --output-on-failure
 
 step "all checks passed"

@@ -29,8 +29,8 @@
 //   dnsembed simulate --out trace.log --labels labels.csv --hosts 300 --days 5
 //   dnsembed embed    --log trace.log --out emb.bin --dim 32
 //   dnsembed detect   --embeddings emb.bin --labels labels.csv --kfold 10
-//   dnsembed run      --workdir run1 --hosts 300 --days 5 && \
-//   dnsembed run      --workdir run1 --resume   # no-op: all stages valid
+//   dnsembed run      --workdir run1 --hosts 300 --days 5
+//   dnsembed run      --workdir run1 --hosts 300 --days 5 --resume  # no-op
 //   dnsembed detect   --embeddings run1/combined.emb --labels labels.csv
 #include <algorithm>
 #include <cerrno>
@@ -119,8 +119,9 @@ commands:
   cluster   --embeddings FILE --out FILE [--kmin N] [--kmax N] [--seed N]
   report    --out report.md [--hosts N] [--days N] [--sites N] [--families N]
             [--seed N] [--samples N] [--no-streaming]
-            (one-shot: simulate + model + embed + evaluate + cluster +
-             streaming replay)
+            (one-shot, in memory: the report `run` writes as DIR/report.md
+             at the same flags, byte for byte, then a cluster-traffic
+             appendix and, unless --no-streaming, a streaming replay)
   run       --workdir DIR [--resume] [--stage-deadline SECONDS] [--hosts N]
             [--days N] [--sites N] [--families N] [--seed N] [--dim N]
             [--samples N] [--kfold N] [--svm-c X] [--svm-gamma X]
@@ -141,7 +142,7 @@ commands:
              the other; 0 [default] or N >= 2 trains them on two
              threads. The embeddings are bit-identical either way, so
              resumed reports stay byte-identical.
-             Each stage is one list of tasks (trace; prune + projection
+             Each stage is one list of tasks (trace + pruning; projection
              pair-shards; per-channel LINE training; labels; report).
              --workers 0 [default] runs the list in order in this process
              with one projection shard per channel; --workers N >= 1 forks
@@ -218,6 +219,26 @@ int check_input(const std::string& path) {
   return kExitInputError;
 }
 
+/// --hosts/--days/--sites/--families/--seed over the command's defaults
+/// (the seed defaults to 42 everywhere).
+trace::TraceConfig trace_from_args(const util::ArgParser& args, std::int64_t hosts,
+                                   std::int64_t days, std::int64_t sites,
+                                   std::int64_t families) {
+  trace::TraceConfig config;
+  config.hosts = static_cast<std::size_t>(args.get_int_or("--hosts", hosts));
+  config.days = static_cast<std::size_t>(args.get_int_or("--days", days));
+  config.benign_sites = static_cast<std::size_t>(args.get_int_or("--sites", sites));
+  config.malware_families = static_cast<std::size_t>(args.get_int_or("--families", families));
+  config.seed = static_cast<std::uint64_t>(args.get_int_or("--seed", 42));
+  return config;
+}
+
+/// Keep victim cohorts feasible for small host populations.
+void clamp_victims(trace::TraceConfig& config) {
+  config.max_victims = std::min(config.max_victims, config.hosts / 2);
+  config.min_victims = std::min(config.min_victims, config.max_victims);
+}
+
 // ------------------------------------------------------------- simulate
 
 void adversarial_from_args(const util::ArgParser& args, trace::TraceConfig& config);
@@ -239,12 +260,7 @@ int cmd_simulate(const util::ArgParser& args) {
   const auto out_path = args.get("--out");
   if (!out_path) return fail("simulate: --out is required");
 
-  trace::TraceConfig config;
-  config.hosts = static_cast<std::size_t>(args.get_int_or("--hosts", 300));
-  config.days = static_cast<std::size_t>(args.get_int_or("--days", 5));
-  config.benign_sites = static_cast<std::size_t>(args.get_int_or("--sites", 1800));
-  config.malware_families = static_cast<std::size_t>(args.get_int_or("--families", 10));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("--seed", 42));
+  trace::TraceConfig config = trace_from_args(args, 300, 5, 1800, 10);
   config.campaign_seed = static_cast<std::uint64_t>(args.get_int_or("--campaign-seed", 0));
   adversarial_from_args(args, config);
 
@@ -762,16 +778,8 @@ int cmd_faultsim(const util::ArgParser& args) {
   const auto out_path = args.get("--out");
   if (!out_path) return fail("faultsim: --out is required");
 
-  trace::TraceConfig trace_config;
-  trace_config.hosts = static_cast<std::size_t>(args.get_int_or("--hosts", 60));
-  trace_config.days = static_cast<std::size_t>(args.get_int_or("--days", 3));
-  trace_config.benign_sites = static_cast<std::size_t>(args.get_int_or("--sites", 300));
-  trace_config.malware_families =
-      static_cast<std::size_t>(args.get_int_or("--families", 6));
-  trace_config.seed = static_cast<std::uint64_t>(args.get_int_or("--seed", 42));
-  // Keep victim cohorts feasible for small host populations.
-  trace_config.max_victims = std::min(trace_config.max_victims, trace_config.hosts / 2);
-  trace_config.min_victims = std::min(trace_config.min_victims, trace_config.max_victims);
+  trace::TraceConfig trace_config = trace_from_args(args, 60, 3, 300, 6);
+  clamp_victims(trace_config);
 
   const auto samples = static_cast<std::size_t>(args.get_int_or("--samples", 300'000));
   const auto window_days = static_cast<std::size_t>(args.get_int_or("--window", 2));
@@ -1086,16 +1094,8 @@ int cmd_advsim(const util::ArgParser& args) {
   const auto out_path = args.get("--out");
   if (!out_path) return fail("advsim: --out is required");
 
-  trace::TraceConfig trace_config;
-  trace_config.hosts = static_cast<std::size_t>(args.get_int_or("--hosts", 60));
-  trace_config.days = static_cast<std::size_t>(args.get_int_or("--days", 4));
-  trace_config.benign_sites = static_cast<std::size_t>(args.get_int_or("--sites", 300));
-  trace_config.malware_families =
-      static_cast<std::size_t>(args.get_int_or("--families", 6));
-  trace_config.seed = static_cast<std::uint64_t>(args.get_int_or("--seed", 42));
-  // Keep victim cohorts feasible for small host populations.
-  trace_config.max_victims = std::min(trace_config.max_victims, trace_config.hosts / 2);
-  trace_config.min_victims = std::min(trace_config.min_victims, trace_config.max_victims);
+  trace::TraceConfig trace_config = trace_from_args(args, 60, 4, 300, 6);
+  clamp_victims(trace_config);
   adversarial_from_args(args, trace_config);
   // The sweep is about adversarial campaigns: default them on.
   if (!args.has("--zero-day")) trace_config.zero_day_families = 2;
@@ -1178,17 +1178,11 @@ int cmd_advsim(const util::ArgParser& args) {
 
 // ---------------------------------------------------------------- report
 
-int cmd_report(const util::ArgParser& args) {
-  const auto out_path = args.get("--out");
-  if (!out_path) return fail("report: --out is required");
-  const bool streaming = !args.has("--no-streaming");
+/// The pipeline `report` runs and `run` runs by default, so at equal flags
+/// both write the same report.
+core::PipelineConfig report_config(const util::ArgParser& args) {
   core::PipelineConfig config;
-  config.trace.hosts = static_cast<std::size_t>(args.get_int_or("--hosts", 200));
-  config.trace.days = static_cast<std::size_t>(args.get_int_or("--days", 4));
-  config.trace.benign_sites = static_cast<std::size_t>(args.get_int_or("--sites", 1000));
-  config.trace.malware_families =
-      static_cast<std::size_t>(args.get_int_or("--families", 8));
-  config.trace.seed = static_cast<std::uint64_t>(args.get_int_or("--seed", 42));
+  config.trace = trace_from_args(args, 200, 4, 1000, 8);
   adversarial_from_args(args, config.trace);
   config.embedding_dimension = 24;
   config.embedding.line.total_samples =
@@ -1197,16 +1191,41 @@ int cmd_report(const util::ArgParser& args) {
   config.kfold = 5;
   config.xmeans.k_min = 8;
   config.xmeans.k_max = 64;
-  config.keep_entries = streaming;  // the streaming replay needs the raw log
+  return config;
+}
 
-  const auto result = core::run_pipeline(config);
+/// Keeps the netflow records and, for the streaming replay, the DNS log.
+struct ReportEventSink final : trace::TraceSink {
+  explicit ReportEventSink(bool keep_dns) : keep_dns{keep_dns} {}
+  void on_dns(const dns::LogEntry& entry) override {
+    if (keep_dns) entries.push_back(entry);
+  }
+  void on_flow(const trace::NetflowRecord& record) override { flows.push_back(record); }
+
+  bool keep_dns;
+  std::vector<dns::LogEntry> entries;
+  std::vector<trace::NetflowRecord> flows;
+};
+
+int cmd_report(const util::ArgParser& args) {
+  const auto out_path = args.get("--out");
+  if (!out_path) return fail("report: --out is required");
+  const bool streaming = !args.has("--no-streaming");
+  const core::PipelineConfig config = report_config(args);
+
+  // The netflow records (traffic appendix) and the raw log (streaming
+  // replay) are not run artifacts; collect them as the trace streams by.
+  ReportEventSink events{streaming};
+  const auto result = core::run_pipeline(config, &events);
   const auto evals = core::evaluate_channels(result, config);
   const auto clusters = core::cluster_domains(result.combined_embedding,
                                               result.model.kept_domains,
                                               result.trace.truth, config.xmeans);
   std::ofstream out{*out_path};
   if (!out) return fail("cannot open " + *out_path);
+  // The report `run` writes as DIR/report.md, then the appendices.
   core::write_detection_report(out, result, evals, clusters);
+  core::write_traffic_appendix(out, result, clusters, events.flows);
 
   if (streaming) {
     // Replay the same trace through the sliding-window detector, one
@@ -1214,10 +1233,10 @@ int cmd_report(const util::ArgParser& args) {
     // to the metrics registry and a row to the report.
     obs::StageSpan span{"pipeline.streaming"};
     std::vector<std::vector<dns::LogEntry>> by_day(std::max<std::size_t>(config.trace.days, 1));
-    for (const auto& entry : result.entries) {
+    for (auto& entry : events.entries) {
       auto day = static_cast<std::size_t>(std::max<std::int64_t>(entry.timestamp, 0) / 86400);
       if (day >= by_day.size()) day = by_day.size() - 1;
-      by_day[day].push_back(entry);
+      by_day[day].push_back(std::move(entry));
     }
     core::StreamingConfig sc;
     sc.embedding.line.total_samples = config.embedding.line.total_samples;
@@ -1289,16 +1308,8 @@ int cmd_run(const util::ArgParser& args) {
   faults.seed = static_cast<std::uint64_t>(args.get_int_or("--fault-seed", 1337));
 
   auto& config = options.config;
-  config.trace.hosts = static_cast<std::size_t>(args.get_int_or("--hosts", 200));
-  config.trace.days = static_cast<std::size_t>(args.get_int_or("--days", 4));
-  config.trace.benign_sites = static_cast<std::size_t>(args.get_int_or("--sites", 1000));
-  config.trace.malware_families =
-      static_cast<std::size_t>(args.get_int_or("--families", 8));
-  config.trace.seed = static_cast<std::uint64_t>(args.get_int_or("--seed", 42));
-  adversarial_from_args(args, config.trace);
+  config = report_config(args);
   config.embedding_dimension = static_cast<std::size_t>(args.get_int_or("--dim", 24));
-  config.embedding.line.total_samples =
-      static_cast<std::size_t>(args.get_int_or("--samples", 2'000'000));
   // LINE's output is bit-identical for every thread setting (the two
   // objectives share no mutable state), so the resumable runner's
   // byte-identical-report promise does not require a single-threaded
@@ -1309,10 +1320,7 @@ int cmd_run(const util::ArgParser& args) {
           projection_from_args(args, "run", config.projection_mode, config.sketch)) {
     return rc;
   }
-  config.svm = svm_from_args(args);
   config.kfold = static_cast<std::size_t>(args.get_int_or("--kfold", 5));
-  config.xmeans.k_min = 8;
-  config.xmeans.k_max = 64;
 
   try {
     util::Stopwatch watch;
