@@ -1,8 +1,10 @@
-// Microbenchmarks: trace generation and capture throughput.
+// Microbenchmarks: trace generation, capture throughput and DNS ingest into
+// the three behavior graphs.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
+#include "core/behavior.hpp"
 #include "dns/capture_io.hpp"
 #include "trace/generator.hpp"
 #include "trace/pcap_sink.hpp"
@@ -69,6 +71,25 @@ void BM_PcapImport(benchmark::State& state) {
   state.counters["MB"] = static_cast<double>(bytes.size()) / 1e6;
 }
 BENCHMARK(BM_PcapImport)->Unit(benchmark::kMillisecond);
+
+// Ingest alone: a pre-generated trace replayed into GraphBuilderSink, the
+// three take_*() calls (which finalize the adjacency) included.
+void BM_GraphBuilderIngest(benchmark::State& state) {
+  trace::CollectingSink trace;
+  trace::generate_trace(micro_config(static_cast<std::size_t>(state.range(0))), trace);
+  const auto& entries = trace.dns();
+  for (auto _ : state) {
+    core::GraphBuilderSink graphs;
+    for (const auto& entry : entries) graphs.on_dns(entry);
+    benchmark::DoNotOptimize(graphs.take_hdbg());
+    benchmark::DoNotOptimize(graphs.take_dibg());
+    benchmark::DoNotOptimize(graphs.take_dtbg());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(entries.size()));
+  state.counters["events"] = static_cast<double>(entries.size());
+}
+BENCHMARK(BM_GraphBuilderIngest)->Arg(200)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

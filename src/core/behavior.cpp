@@ -1,7 +1,10 @@
 #include "core/behavior.hpp"
 
-#include <unordered_set>
+#include <array>
+#include <charconv>
+#include <string_view>
 
+#include "dns/name.hpp"
 #include "obs/span.hpp"
 
 namespace dnsembed::core {
@@ -14,11 +17,39 @@ GraphBuilderSink::GraphBuilderSink(std::int64_t bucket_seconds, const dns::Publi
 }
 
 void GraphBuilderSink::on_dns(const dns::LogEntry& entry) {
-  const std::string e2ld = psl_->e2ld_or_self(entry.qname);
-  hdbg_.add_edge(entry.host, e2ld);
-  dtbg_.add_edge("m" + std::to_string(entry.timestamp / bucket_seconds_), e2ld);
+  // e2ld_or_self without its two normalize_name copies; names too long for
+  // the buffer (and the empty name) take the allocating path.
+  std::array<char, dns::kMaxNameLength> name_buf;
+  std::string fallback;
+  std::string_view e2ld = dns::normalize_name_view(entry.qname, name_buf);
+  if (e2ld.empty()) {
+    fallback = psl_->e2ld_or_self(entry.qname);
+    e2ld = fallback;
+  } else if (const auto owner = psl_->e2ld_view(e2ld); !owner.empty()) {
+    e2ld = owner;
+  }
+
+  const graph::VertexId domain = hdbg_.add_right(e2ld);
+  if (domain == slots_.size()) slots_.emplace_back();
+  DomainSlot& slot = slots_[domain];
+  hdbg_.add_edge(hdbg_.add_left(entry.host), domain);
+
+  const std::int64_t bucket = entry.timestamp / bucket_seconds_;
+  if (bucket_id_ == kUnassigned || bucket != bucket_) {
+    std::array<char, 24> label{'m'};  // "m" + the decimal bucket
+    const auto end = std::to_chars(label.data() + 1, label.data() + label.size(), bucket).ptr;
+    bucket_ = bucket;
+    bucket_id_ = dtbg_.add_left({label.data(), static_cast<std::size_t>(end - label.data())});
+  }
+  if (slot.dtbg == kUnassigned) slot.dtbg = dtbg_.add_right(e2ld);
+  dtbg_.add_edge(bucket_id_, slot.dtbg);
+
+  if (entry.addresses.empty()) return;
+  if (slot.dibg == kUnassigned) slot.dibg = dibg_.add_right(e2ld);
   for (const auto& ip : entry.addresses) {
-    dibg_.add_edge(ip.to_string(), e2ld);
+    const auto [it, inserted] = ip_ids_.try_emplace(ip.value(), kUnassigned);
+    if (inserted) it->second = dibg_.add_left(ip.to_string());
+    dibg_.add_edge(it->second, slot.dibg);
   }
 }
 
@@ -47,15 +78,11 @@ BehaviorModel prune_behavior_graphs(graph::BipartiteGraph hdbg, graph::Bipartite
   OBS_SPAN("behavior.model");
   // Pruning rules 1-2 are defined on host behavior, i.e. on the HDBG.
   const auto keep_mask = graph::right_degree_keep_mask(hdbg, prune);
-  std::unordered_set<std::string> kept;
-  for (graph::VertexId r = 0; r < hdbg.right_count(); ++r) {
-    if (keep_mask[r]) kept.insert(hdbg.right_names().name(r));
-  }
-
-  const auto mask_for = [&kept](const graph::BipartiteGraph& g) {
+  const auto mask_for = [&](const graph::BipartiteGraph& g) {
     std::vector<bool> mask(g.right_count(), false);
     for (graph::VertexId r = 0; r < g.right_count(); ++r) {
-      mask[r] = kept.contains(g.right_names().name(r));
+      const auto id = hdbg.right_names().find(g.right_names().name(r));
+      mask[r] = id && keep_mask[*id];
     }
     return mask;
   };
@@ -64,11 +91,7 @@ BehaviorModel prune_behavior_graphs(graph::BipartiteGraph hdbg, graph::Bipartite
   model.hdbg = hdbg.filter_right(keep_mask);
   model.dibg = dibg.filter_right(mask_for(dibg));
   model.dtbg = dtbg.filter_right(mask_for(dtbg));
-
-  model.kept_domains.reserve(kept.size());
-  for (graph::VertexId r = 0; r < model.hdbg.right_count(); ++r) {
-    model.kept_domains.push_back(model.hdbg.right_names().name(r));
-  }
+  model.kept_domains = model.hdbg.right_names().names();
   return model;
 }
 

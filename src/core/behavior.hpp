@@ -8,7 +8,9 @@
 // yields domain similarity for all three graphs.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/log_record.hpp"
@@ -22,6 +24,19 @@
 namespace dnsembed::core {
 
 /// Streaming sink that accumulates the three bipartite graphs.
+///
+/// Ingest resolves each entry to vertex ids without building per-event
+/// strings: the qname is normalized into a stack buffer and cut to its e2LD
+/// as a view, and every lookup probes an interner or id map with that view
+/// or integer, so a string is allocated only when a vertex is new. Each
+/// e2LD has one slot, indexed by its HDBG right id (every entry reaches the
+/// HDBG, so the HDBG's right interner is the e2LD -> slot map), that holds
+/// its DIBG and DTBG right ids; each id is assigned the first time the
+/// domain appears in that graph, so every graph numbers its vertices in
+/// first-appearance order, exactly as interning the strings would. Addresses
+/// map to DIBG left ids by Ipv4::value(), and the current minute bucket's
+/// DTBG id is cached until the bucket changes. Extra memory is bounded by
+/// the distinct e2LDs and addresses, which the graphs hold anyway.
 class GraphBuilderSink final : public trace::TraceSink {
  public:
   /// Time-bucket width for the DTBG (paper: one minute).
@@ -36,11 +51,23 @@ class GraphBuilderSink final : public trace::TraceSink {
   graph::BipartiteGraph take_dtbg();
 
  private:
+  static constexpr graph::VertexId kUnassigned = ~graph::VertexId{0};
+
+  // One e2LD's right ids in the graphs other than the HDBG.
+  struct DomainSlot {
+    graph::VertexId dibg = kUnassigned;
+    graph::VertexId dtbg = kUnassigned;
+  };
+
   std::int64_t bucket_seconds_;
   const dns::PublicSuffixList* psl_;
   graph::BipartiteGraph hdbg_;  // host x e2LD
   graph::BipartiteGraph dibg_;  // IP x e2LD
   graph::BipartiteGraph dtbg_;  // minute-bucket x e2LD
+  std::vector<DomainSlot> slots_;  // by HDBG right id
+  std::unordered_map<std::uint32_t, graph::VertexId> ip_ids_;  // Ipv4::value() -> DIBG left id
+  std::int64_t bucket_ = 0;
+  graph::VertexId bucket_id_ = kUnassigned;  // DTBG left id of bucket_
 };
 
 struct BehaviorModelConfig {

@@ -36,9 +36,11 @@ std::string_view normalize_name_view(std::string_view name,
 
 namespace {
 
+// ASCII letters, digits, '-' and '_' (an explicit test rather than
+// std::isalnum, which is locale-dependent and a call per character).
 bool is_label_char(char c) noexcept {
-  const auto u = static_cast<unsigned char>(c);
-  return std::isalnum(u) || c == '-' || c == '_';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+         c == '-' || c == '_';
 }
 
 }  // namespace

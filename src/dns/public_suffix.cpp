@@ -1,5 +1,7 @@
 #include "dns/public_suffix.hpp"
 
+#include <algorithm>
+
 #include "dns/name.hpp"
 
 namespace dnsembed::dns {
@@ -8,6 +10,9 @@ PublicSuffixList::PublicSuffixList(const std::vector<std::string>& rules) {
   for (const auto& raw : rules) {
     const std::string rule = normalize_name(raw);
     if (rule.empty()) continue;
+    // "!Y" matches Y and "*.X" matches one label plus X: as many labels as
+    // the rule is written with.
+    max_rule_labels_ = std::max(max_rule_labels_, label_count(rule));
     if (rule[0] == '!') {
       exceptions_.insert(rule.substr(1));
     } else if (rule.rfind("*.", 0) == 0) {
@@ -55,6 +60,11 @@ std::string_view PublicSuffixList::public_suffix_of(std::string_view name) const
   // is a view into `name`, so the heterogeneous set lookups never allocate.
   std::size_t offset = 0;   // index into name where the current suffix starts
   std::string_view best{};  // longest match so far (PSL: longest rule wins)
+  // A suffix with more labels than the longest rule can match nothing:
+  // start the walk at the longest one that can.
+  for (std::size_t n = label_count(name); n > max_rule_labels_; --n) {
+    offset = name.find('.', offset) + 1;
+  }
   for (;;) {
     const std::string_view suffix = name.substr(offset);
     if (exceptions_.contains(suffix)) {

@@ -14,6 +14,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/interner.hpp"
+
 namespace dnsembed::dns {
 
 class PublicSuffixList {
@@ -51,18 +53,13 @@ class PublicSuffixList {
   std::string_view e2ld_view(std::string_view name) const noexcept;
 
  private:
-  struct TransparentHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using RuleSet =
-      std::unordered_set<std::string, TransparentHash, std::equal_to<>>;
+  using RuleSet = std::unordered_set<std::string, util::TransparentStringHash, std::equal_to<>>;
 
   RuleSet rules_;       // normal rules
   RuleSet wildcards_;   // "*.X" stored as "X"
   RuleSet exceptions_;  // "!Y" stored as "Y"
+  // Most labels of any rule, i.e. of any suffix a probe can match.
+  std::size_t max_rule_labels_ = 1;
 };
 
 }  // namespace dnsembed::dns

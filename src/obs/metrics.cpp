@@ -212,6 +212,16 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
+std::vector<std::pair<std::string, std::int64_t>> Registry::written_gauges() const {
+  const std::lock_guard<std::mutex> lock{mutex_};
+  std::vector<std::pair<std::string, std::int64_t>> out;
+  for (const auto& g : gauges_) {
+    if (g->written()) out.emplace_back(g->name(), g->value());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 void Registry::reset_values() {
   const std::lock_guard<std::mutex> lock{mutex_};
   for (const auto& c : counters_) c->reset();

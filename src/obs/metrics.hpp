@@ -94,21 +94,34 @@ class Counter {
 };
 
 /// Point-in-time value (set wins over add; not sharded — gauges are not
-/// hot-loop metrics).
+/// hot-loop metrics). A gauge remembers whether it was written since the
+/// last reset, so a forked worker's telemetry sidecar carries exactly the
+/// gauges that worker set, zeros included.
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
     if (!metrics_enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
+    set_raw(v);
   }
   void add(std::int64_t n) noexcept {
     if (!metrics_enabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
+    written_.store(true, std::memory_order_relaxed);
+  }
+
+  /// Ungated set for cross-process telemetry merge (cf. Counter::add_raw).
+  void set_raw(std::int64_t v) noexcept {
+    value_.store(v, std::memory_order_relaxed);
+    written_.store(true, std::memory_order_relaxed);
   }
 
   std::int64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
+  bool written() const noexcept { return written_.load(std::memory_order_relaxed); }
   const std::string& name() const noexcept { return name_; }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept {
+    value_.store(0, std::memory_order_relaxed);
+    written_.store(false, std::memory_order_relaxed);
+  }
 
  private:
   friend class Registry;
@@ -116,6 +129,7 @@ class Gauge {
 
   std::string name_;
   std::atomic<std::int64_t> value_{0};
+  std::atomic<bool> written_{false};
 };
 
 /// Fixed-bucket histogram with Prometheus `le` semantics: bucket i counts
@@ -220,6 +234,10 @@ class Registry {
                      std::vector<std::pair<std::string, double>> fields);
 
   MetricsSnapshot snapshot() const;
+
+  /// The registered gauges written since the last reset_values(), sorted by
+  /// name (republished gauges such as simd.level are not among them).
+  std::vector<std::pair<std::string, std::int64_t>> written_gauges() const;
 
   /// Zero every value and drop records; registered handles stay valid.
   /// For tests and repeated in-process runs.

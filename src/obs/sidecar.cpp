@@ -28,6 +28,9 @@ std::string telemetry_sidecar_payload(bool include_spans) {
   for (const auto& [name, value] : snap.counters) {
     if (value != 0) out << "counter " << name << ' ' << value << '\n';
   }
+  for (const auto& [name, value] : metrics().written_gauges()) {
+    out << "gauge " << name << ' ' << value << '\n';
+  }
   for (const auto& h : snap.histograms) {
     if (h.count == 0) continue;
     out << "histogram " << h.name << ' ' << h.bounds.size();
@@ -69,6 +72,11 @@ TelemetrySidecar parse_telemetry_sidecar(const std::string& payload,
       std::uint64_t value = 0;
       if (!(in >> name >> value)) corrupt(path, "bad counter row");
       sidecar.counters.emplace_back(std::move(name), value);
+    } else if (verb == "gauge") {
+      std::string name;
+      std::int64_t value = 0;
+      if (!(in >> name >> value)) corrupt(path, "bad gauge row");
+      sidecar.gauges.emplace_back(std::move(name), value);
     } else if (verb == "histogram") {
       TelemetrySidecar::HistogramData h;
       std::size_t n_bounds = 0;
@@ -122,6 +130,7 @@ void merge_sidecar_metrics(const TelemetrySidecar& sidecar) {
   for (const auto& [name, value] : sidecar.counters) {
     if (value != 0) registry.counter(name).add_raw(value);
   }
+  for (const auto& [name, value] : sidecar.gauges) registry.gauge(name).set_raw(value);
   for (const auto& h : sidecar.histograms) {
     if (!registry.histogram(h.name, h.bounds).merge_counts(h.buckets, h.sum_micros)) {
       util::log_warn() << "telemetry merge: histogram '" << h.name

@@ -16,7 +16,9 @@
 //    order after the batch completes (completion order is nondeterministic);
 //  - spans: returned for the caller to rebase onto its own epoch and attach
 //    as a per-task ProcessLane (one pid per worker task in the trace);
-//  - gauges: point-in-time and process-local — never serialized.
+//  - gauges: the ones the worker wrote since its post-fork reset, set by
+//    name (Gauge::set_raw); tasks set disjoint gauges, so no two merges
+//    write the same one.
 //
 // The payload is a line-oriented text table (names are dotted identifiers,
 // never containing whitespace); the container layer supplies versioning and
@@ -40,6 +42,7 @@ inline constexpr const char* kTelemetrySidecarKind = "telemetry-sidecar";
 /// Parsed sidecar contents (one worker attempt's telemetry).
 struct TelemetrySidecar {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::pair<std::string, std::int64_t>> gauges;
   struct HistogramData {
     std::string name;
     std::vector<double> bounds;
@@ -53,8 +56,8 @@ struct TelemetrySidecar {
 
 /// Serialize the calling process's current registry snapshot (and, when
 /// `include_spans`, its span buffer — only safe once recording threads are
-/// quiescent) into a sidecar payload. Zero-valued counters and empty
-/// histograms are skipped.
+/// quiescent) into a sidecar payload. Zero-valued counters, unwritten
+/// gauges and empty histograms are skipped.
 std::string telemetry_sidecar_payload(bool include_spans);
 
 /// Atomically write the current telemetry as a sidecar artifact at `path`.
@@ -70,10 +73,10 @@ TelemetrySidecar parse_telemetry_sidecar(const std::string& payload,
 /// util::CorruptArtifact on damage and util::fsio::IoError on I/O failure.
 TelemetrySidecar load_telemetry_sidecar(const std::string& path);
 
-/// Fold a worker's counters and histograms into this process's registry
-/// (ungated adds). Records and spans are left to the caller: records need
-/// deterministic (task, seq) append order across workers, and spans need an
-/// epoch rebase before becoming a ProcessLane.
+/// Fold a worker's counters, gauges and histograms into this process's
+/// registry (ungated adds and sets). Records and spans are left to the
+/// caller: records need deterministic (task, seq) append order across
+/// workers, and spans need an epoch rebase before becoming a ProcessLane.
 void merge_sidecar_metrics(const TelemetrySidecar& sidecar);
 
 }  // namespace dnsembed::obs

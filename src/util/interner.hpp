@@ -1,6 +1,8 @@
 // Bidirectional string <-> dense-id mapping. Graphs, traces and label sets
 // all address entities (hosts, domains, IPs) by dense 32-bit ids so adjacency
-// structures stay compact; this interner owns the strings.
+// structures stay compact; this interner owns the strings. Lookups are
+// heterogeneous: intern/find probe with the caller's string_view and allocate
+// only when intern inserts a new string.
 #pragma once
 
 #include <cstdint>
@@ -13,13 +15,22 @@
 
 namespace dnsembed::util {
 
+/// string_view hash for std::string-keyed unordered containers; with
+/// std::equal_to<> it lets find/contains probe with a string_view.
+struct TransparentStringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
 class StringInterner {
  public:
   using Id = std::uint32_t;
 
   /// Return the id for key, inserting it if new.
   Id intern(std::string_view key) {
-    const auto it = index_.find(std::string{key});
+    const auto it = index_.find(key);
     if (it != index_.end()) return it->second;
     const Id id = static_cast<Id>(strings_.size());
     strings_.emplace_back(key);
@@ -29,7 +40,7 @@ class StringInterner {
 
   /// Lookup without inserting.
   std::optional<Id> find(std::string_view key) const {
-    const auto it = index_.find(std::string{key});
+    const auto it = index_.find(key);
     if (it == index_.end()) return std::nullopt;
     return it->second;
   }
@@ -48,7 +59,7 @@ class StringInterner {
 
  private:
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, Id> index_;
+  std::unordered_map<std::string, Id, TransparentStringHash, std::equal_to<>> index_;
 };
 
 }  // namespace dnsembed::util

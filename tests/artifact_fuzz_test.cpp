@@ -224,6 +224,7 @@ TEST(ArtifactFuzz, TelemetrySidecar) {
       "telemetry 1\n"
       "counter graph.projection.edges 1234\n"
       "counter embed.line.samples 50000\n"
+      "gauge scenario.archetypes 4\n"
       "histogram supervisor.task.cpu_seconds 2 0.5 1 3 1 2 0 1500000\n"
       "record streaming.day 2 day 1 alerts 3\n"
       "span embed.line 100 200 4 0\n";

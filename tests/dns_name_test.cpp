@@ -23,6 +23,9 @@ TEST(Name, ValidityRules) {
   EXPECT_FALSE(is_valid_name("-a.com"));
   EXPECT_FALSE(is_valid_name("a-.com"));
   EXPECT_FALSE(is_valid_name("a b.com"));
+  EXPECT_FALSE(is_valid_name("\xC3\xA4.com"));  // LDH is ASCII only
+  EXPECT_FALSE(is_valid_name("a!b.com"));
+  EXPECT_TRUE(is_valid_name("AZ09.com"));
   EXPECT_FALSE(is_valid_name(std::string(64, 'a') + ".com"));   // label > 63
   EXPECT_TRUE(is_valid_name(std::string(63, 'a') + ".com"));
   std::string long_name;
@@ -105,6 +108,25 @@ TEST(PublicSuffix, CustomRuleSet) {
   const PublicSuffixList psl{{"test", "multi.test"}};
   EXPECT_EQ(psl.e2ld("a.b.multi.test"), "b.multi.test");
   EXPECT_EQ(psl.e2ld("a.test"), "a.test");
+}
+
+TEST(PublicSuffix, DeepNamesReachRulesOfEveryLength) {
+  // The suffix walk skips suffixes with more labels than the longest rule
+  // (a wildcard "*.X" counts |X| + 1); every rule kind must still match.
+  const PublicSuffixList psl{{"a.b.c", "*.w.x.y", "t"}};
+  EXPECT_EQ(psl.public_suffix("q.w.e.a.b.c"), "a.b.c");
+  EXPECT_EQ(psl.e2ld("q.w.e.a.b.c"), "e.a.b.c");
+  EXPECT_EQ(psl.public_suffix("p.q.r.w.x.y"), "r.w.x.y");
+  EXPECT_EQ(psl.e2ld("p.q.r.w.x.y"), "q.r.w.x.y");
+  EXPECT_EQ(psl.public_suffix("m.n.o.p.t"), "t");
+  EXPECT_EQ(psl.public_suffix("m.n.o.p.unknown"), "unknown");
+  const PublicSuffixList excepted{{"*.x.y", "!k.l.z.x.y", "*.l.z.x.y"}};
+  EXPECT_EQ(excepted.public_suffix("a.b.k.l.z.x.y"), "l.z.x.y");
+  EXPECT_EQ(excepted.e2ld("a.b.k.l.z.x.y"), "k.l.z.x.y");
+  EXPECT_EQ(excepted.public_suffix("a.b.j.l.z.x.y"), "j.l.z.x.y");
+  const PublicSuffixList empty{{}};
+  EXPECT_EQ(empty.public_suffix("a.b.c"), "c");
+  EXPECT_EQ(empty.e2ld("a.b.c"), "b.c");
 }
 
 TEST(PublicSuffix, PaperExamplesFromAbuseFeeds) {

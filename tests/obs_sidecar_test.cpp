@@ -124,6 +124,26 @@ TEST_F(ObsSidecarTest, MergeSumsCountersAndExactHistogramMicros) {
   EXPECT_EQ(hist.sum_micros_total(), micros_before + 2 * 1'234);
 }
 
+TEST_F(ObsSidecarTest, WrittenGaugesRoundTripAndMergeBySet) {
+  // Only gauges written since the reset travel (a forked worker inherits
+  // the parent's registrations at zero), zero-valued writes included.
+  obs::metrics().gauge("sidecar.gauge.untouched");
+  obs::metrics().gauge("sidecar.gauge.zero").set(0);
+  obs::metrics().gauge("sidecar.gauge.value").set(-7);
+
+  const auto sidecar = obs::parse_telemetry_sidecar(obs::telemetry_sidecar_payload(false), "test");
+  const std::vector<std::pair<std::string, std::int64_t>> expected = {
+      {"sidecar.gauge.value", -7}, {"sidecar.gauge.zero", 0}};
+  EXPECT_EQ(sidecar.gauges, expected);
+
+  obs::metrics().reset_values();
+  EXPECT_TRUE(obs::metrics().written_gauges().empty());
+  obs::set_metrics_enabled(false);  // the merge is ungated
+  obs::merge_sidecar_metrics(sidecar);
+  EXPECT_EQ(obs::metrics().gauge("sidecar.gauge.value").value(), -7);
+  EXPECT_EQ(obs::metrics().written_gauges(), expected);
+}
+
 TEST_F(ObsSidecarTest, MergedRepublishedCountersFoldIntoOneSnapshotEntry) {
   // io.retries / log.suppressed are republished into every snapshot from
   // process-local stats; a merged worker total with the same name must fold
@@ -173,6 +193,7 @@ TEST_F(ObsSidecarTest, MalformedPayloadsThrowCorruptArtifact) {
   expect_corrupt("telemetry 2\n");                      // unknown version
   expect_corrupt("telemetry 1\nbogus x 1\n");           // unknown verb
   expect_corrupt("telemetry 1\ncounter io.retries\n");  // truncated line
+  expect_corrupt("telemetry 1\ngauge scenario.archetypes x\n");  // bad gauge value
   expect_corrupt("telemetry 1\nhistogram h 1 0.5 1 7\n");  // bucket count != bounds+1
   expect_corrupt("telemetry 1\nhistogram h 999999 0.5\n");  // absurd bound count
   expect_corrupt("telemetry 1\nrecord r 999999 k 1\n");     // absurd field count

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/report.hpp"
@@ -315,6 +316,38 @@ TEST_F(RunSupervisorTest, MergedTelemetryMatchesSingleProcessCounters) {
   obs::SpanRecorder::instance().set_enabled(false);
   obs::metrics().reset_values();
   obs::SpanRecorder::instance().clear();
+}
+
+std::vector<std::pair<std::string, std::int64_t>> scenario_gauges(
+    const std::vector<std::pair<std::string, std::int64_t>>& gauges) {
+  std::vector<std::pair<std::string, std::int64_t>> out;
+  for (const auto& gauge : gauges) {
+    if (gauge.first.starts_with("scenario.")) out.push_back(gauge);
+  }
+  return out;
+}
+
+TEST_F(RunSupervisorTest, WorkerGaugesMatchSingleProcessGauges) {
+  // The labels and report tasks publish the scenario.* gauges; in a forked
+  // worker they reach the exported snapshot only through the sidecar merge.
+  obs::set_metrics_enabled(true);
+  obs::metrics().reset_values();
+
+  (void)run_resumable(supervised_options(dir_));
+  const auto forked = scenario_gauges(obs::metrics().snapshot().gauges);
+  const auto forked_written = scenario_gauges(obs::metrics().written_gauges());
+  obs::metrics().reset_values();
+
+  (void)run_resumable(small_options(dir_ + "_ref"));
+  const auto single = scenario_gauges(obs::metrics().snapshot().gauges);
+  const auto single_written = scenario_gauges(obs::metrics().written_gauges());
+  ASSERT_GE(single_written.size(), 5u);  // archetypes + 4 per scenario tag
+
+  EXPECT_EQ(forked, single);
+  EXPECT_EQ(forked_written, single_written);
+
+  obs::set_metrics_enabled(false);
+  obs::metrics().reset_values();
 }
 
 TEST_F(RunSupervisorTest, StatusFileReflectsRetryInFlight) {

@@ -272,6 +272,29 @@ TEST(Interner, AssignsDenseStableIds) {
   EXPECT_THROW(interner.name(99), std::out_of_range);
 }
 
+TEST(Interner, SubstringViewsMatchOwningStringsAndFindMissesInsertNothing) {
+  // Views into a larger buffer are not null-terminated: the transparent
+  // lookup must hash and compare exactly the viewed bytes.
+  const std::string buffer = "a.com|b.com|a.com.evil";
+  const std::string_view view{buffer};
+  StringInterner interner;
+  const auto a = interner.intern(view.substr(0, 5));
+  const auto b = interner.intern(view.substr(6, 5));
+  EXPECT_EQ(interner.intern(std::string{"a.com"}), a);
+  EXPECT_EQ(interner.intern(std::string{"b.com"}), b);
+  EXPECT_EQ(interner.intern(view.substr(12, 5)), a);  // "a.com" of "a.com.evil"
+  EXPECT_EQ(interner.find(view.substr(6, 5)), b);
+  EXPECT_EQ(interner.find(std::string{"a.com"}), a);
+  EXPECT_EQ(interner.name(a), "a.com");
+  EXPECT_EQ(interner.size(), 2u);
+
+  EXPECT_FALSE(interner.find(view.substr(12)).has_value());  // "a.com.evil"
+  EXPECT_FALSE(interner.find(view.substr(0, 4)).has_value());  // "a.co"
+  EXPECT_EQ(interner.size(), 2u);
+  EXPECT_EQ(interner.names(), (std::vector<std::string>{"a.com", "b.com"}));
+  EXPECT_EQ(interner.intern(view.substr(12)), 2u);
+}
+
 TEST(ThreadPool, RunsAllSubmittedTasks) {
   ThreadPool pool{4};
   std::atomic<int> counter{0};
