@@ -11,7 +11,10 @@
 // In full mode the binary FAILS (nonzero exit) when
 //  - the SIMD path is under 1.5x the scalar path at dim=128, T=1, or
 //  - T=2 (kBoth's two objectives on two threads) is not at most 0.7x the
-//    T=1 wall at dim=128 on the widest rung.
+//    T=1 wall at dim=128 on the widest rung. This gate reads the paired A/B
+//    timer (bench_common.hpp): the median T=2/T=1 ratio over interleaved
+//    repetitions, and an interquartile spread wider than the margin to
+//    0.7x is "unresolved", which fails too.
 //
 // Smoke mode (DNSEMBED_BENCH_SMOKE=1): tiny step count, no timing gates
 // (timings are noise at that scale) — it exists so CI catches dispatch
@@ -26,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "embed/line.hpp"
 #include "graph/weighted_graph.hpp"
 #include "util/rng.hpp"
@@ -239,17 +243,25 @@ int write_line_json() {
   int rc = 0;
 
   // Gate: two objectives on two threads must beat one thread on real cores.
-  const double t1_ms = wall_at(best_level, 128, 1);
-  const double t2_ms = wall_at(best_level, 128, 2);
-  const double ratio = t2_ms / t1_ms;
-  std::printf("dim=128 %s: T=1 %.1f ms, T=2 %.1f ms -> %.2fx T=1 (gate: <= 0.7x)\n",
-              util::simd::level_name(best_level), t1_ms, t2_ms, ratio);
-  if (ratio > 0.7) {
-    std::fprintf(stderr, "micro_line: FAIL: T=2 takes %.2fx the T=1 wall at dim=128 "
-                         "(gate 0.7x)\n",
-                 ratio);
+  constexpr double kThreadBound = 0.7;
+  const auto t1_config = line_config(128, 1, samples);
+  const auto t2_config = line_config(128, 2, samples);
+  const bench::AbResult threads_ab = bench::paired_ab(
+      [&] { benchmark::DoNotOptimize(embed::train_line(g, t1_config)); },
+      [&] { benchmark::DoNotOptimize(embed::train_line(g, t2_config)); }, 9);
+  const bench::AbVerdict threads_verdict = bench::ab_gate_at_most(threads_ab, kThreadBound);
+  const std::string what =
+      std::string{"dim=128 "} + util::simd::level_name(best_level) + " T=1 (A) vs T=2 (B)";
+  bench::print_ab(what.c_str(), threads_ab, kThreadBound, threads_verdict);
+  if (threads_verdict != bench::AbVerdict::kPass) {
+    std::fprintf(stderr,
+                 "micro_line: FAIL: T=2/T=1 wall at dim=128 is %.3fx, IQR [%.3f, %.3f] "
+                 "(gate %.2fx): %s\n",
+                 threads_ab.median, threads_ab.q1, threads_ab.q3, kThreadBound,
+                 bench::ab_verdict_name(threads_verdict));
     rc = 1;
   }
+  const double t1_ms = wall_at(best_level, 128, 1);
 
   if (best_level == util::simd::Level::kScalar) return rc;
 

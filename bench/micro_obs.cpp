@@ -10,6 +10,10 @@
 //     loop's memory behavior) with a per-event obs::Counter::add beside it,
 //     metrics disabled, vs the identical kernel with no obs call at all.
 //     This is stricter than production, which only instruments per pivot.
+//     The gate reads the paired A/B timer (bench_common.hpp) on thread CPU
+//     time: the median instrumented/plain ratio over interleaved
+//     repetitions, where an interquartile spread wider than the margin to
+//     the budget is "unresolved" and fails too.
 //  2. Informational: full project_right() wall time with metrics disabled
 //     vs enabled, at production (per-pivot) instrumentation granularity.
 //
@@ -34,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/run.hpp"
 #include "graph/bipartite.hpp"
 #include "graph/projection.hpp"
@@ -246,21 +251,30 @@ int write_obs_json() {
   if (path == nullptr) path = "BENCH_obs.json";
   constexpr double kBudget = 0.03;
 
+  const bool smoke = std::getenv("DNSEMBED_BENCH_SMOKE") != nullptr;
   const auto keys = random_keys(kKeys, 1);
-  const auto run = [&](auto&& loop) {
-    return best_wall_ms([&] {
+  const auto pass = [&](auto&& loop) {
+    return [&keys, loop] {
       util::FlatCounter table{kKeys / 4};
       table.ensure(keys.size());
       benchmark::DoNotOptimize(loop(keys, table));
-    });
+    };
   };
 
+  const int pairs = smoke ? 3 : 15;
   obs::set_metrics_enabled(false);
-  const double plain_ms = run(loop_plain);
-  const double disabled_ms = run(loop_instrumented);
+  const bench::AbResult disabled_ab = bench::paired_ab(
+      pass(loop_plain), pass(loop_instrumented), pairs, bench::AbClock::kThreadCpu);
+  const bench::AbVerdict disabled_verdict = bench::ab_gate_at_most(disabled_ab, 1.0 + kBudget);
+  const double plain_ms = disabled_ab.a_ms;
+  const double disabled_ms = disabled_ab.b_ms;
+  // Informational: the same pairing with metrics enabled (loop_plain has no
+  // obs call, so the global flag changes only the B side).
   obs::set_metrics_enabled(true);
-  const double enabled_ms = run(loop_instrumented);
+  const bench::AbResult enabled_ab = bench::paired_ab(
+      pass(loop_plain), pass(loop_instrumented), pairs, bench::AbClock::kThreadCpu);
   obs::set_metrics_enabled(false);
+  const double enabled_ms = enabled_ab.b_ms;
 
   // Informational: the production projection with per-pivot instrumentation.
   const auto g = random_bipartite(200, 1000, 100000, 2);
@@ -273,11 +287,10 @@ int write_obs_json() {
       best_wall_ms([&] { benchmark::DoNotOptimize(graph::project_right(g, options)); }, 3);
   obs::set_metrics_enabled(false);
 
-  const double disabled_overhead = disabled_ms / plain_ms - 1.0;
-  const double enabled_overhead = enabled_ms / plain_ms - 1.0;
+  const double disabled_overhead = disabled_ab.median - 1.0;
+  const double enabled_overhead = enabled_ab.median - 1.0;
   const double project_overhead = project_enabled_ms / project_disabled_ms - 1.0;
 
-  const bool smoke = std::getenv("DNSEMBED_BENCH_SMOKE") != nullptr;
   const auto supervised = measure_supervised_telemetry(smoke);
 
   std::FILE* out = std::fopen(path, "w");
@@ -292,6 +305,10 @@ int write_obs_json() {
                "  \"pair_count_instrumented_disabled_ms\": %.3f,\n"
                "  \"pair_count_instrumented_enabled_ms\": %.3f,\n"
                "  \"disabled_overhead\": %.4f,\n"
+               "  \"disabled_overhead_q1\": %.4f,\n"
+               "  \"disabled_overhead_q3\": %.4f,\n"
+               "  \"disabled_pairs\": %d,\n"
+               "  \"disabled_verdict\": \"%s\",\n"
                "  \"enabled_overhead\": %.4f,\n"
                "  \"project_right_disabled_ms\": %.3f,\n"
                "  \"project_right_enabled_ms\": %.3f,\n"
@@ -310,8 +327,10 @@ int write_obs_json() {
                "  }\n"
                "}\n",
                kKeys, plain_ms, disabled_ms, enabled_ms, disabled_overhead,
-               enabled_overhead, project_disabled_ms, project_enabled_ms,
-               project_overhead, kBudget, smoke ? "true" : "false",
+               disabled_ab.q1 - 1.0, disabled_ab.q3 - 1.0, disabled_ab.pairs,
+               bench::ab_verdict_name(disabled_verdict), enabled_overhead,
+               project_disabled_ms, project_enabled_ms, project_overhead, kBudget,
+               smoke ? "true" : "false",
                supervised.counters_match ? "true" : "false",
                static_cast<unsigned long long>(supervised.merged_edges),
                static_cast<unsigned long long>(supervised.merged_samples),
@@ -320,6 +339,8 @@ int write_obs_json() {
   std::fclose(out);
 
   std::printf("wrote %s\n", path);
+  bench::print_ab("pair-count CPU time, plain (A) vs disabled instrumentation (B)",
+                  disabled_ab, 1.0 + kBudget, disabled_verdict);
   std::printf("disabled-path overhead: %.2f%% (budget %.0f%%); enabled: %.2f%%; "
               "project_right enabled: %.2f%%\n",
               disabled_overhead * 100.0, kBudget * 100.0, enabled_overhead * 100.0,
@@ -334,11 +355,13 @@ int write_obs_json() {
   int rc = 0;
   // Timing gates are skipped in smoke mode: one rep on a busy CI box flaps
   // around a 3% budget. Correctness gates below always run.
-  if (!smoke && disabled_overhead > kBudget) {
+  if (!smoke && disabled_verdict != bench::AbVerdict::kPass) {
     std::fprintf(stderr,
-                 "micro_obs: FAIL: disabled instrumentation costs %.2f%% on the "
-                 "pair-count loop (budget %.0f%%)\n",
-                 disabled_overhead * 100.0, kBudget * 100.0);
+                 "micro_obs: FAIL: disabled instrumentation costs %.2f%% CPU on the "
+                 "pair-count loop, IQR [%.2f%%, %.2f%%] (budget %.0f%%): %s\n",
+                 disabled_overhead * 100.0, (disabled_ab.q1 - 1.0) * 100.0,
+                 (disabled_ab.q3 - 1.0) * 100.0, kBudget * 100.0,
+                 bench::ab_verdict_name(disabled_verdict));
     rc = 1;
   }
   if (!supervised.counters_match) {

@@ -66,8 +66,10 @@ std::size_t effective_threads(const LineConfig& config) noexcept;
 
 /// Train LINE on a weighted undirected graph. Isolated vertices receive a
 /// zero vector (nothing can be learned for them). Throws
-/// std::invalid_argument for a config with zero dimension/negatives
-/// mismatch or a graph with vertices but dimension too small to split.
+/// std::invalid_argument for a config with a zero dimension, a kBoth
+/// dimension below 2 (too small to split), an initial_lr that is not finite
+/// and positive, a min_lr_fraction outside [0, 1], or a non-finite
+/// noise_power.
 /// Internally converts to the CSR form below, so both entry points share
 /// one training core and produce identical output for the same graph.
 EmbeddingMatrix train_line(const graph::WeightedGraph& g, const LineConfig& config);

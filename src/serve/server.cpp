@@ -32,7 +32,10 @@ std::string status_json(const ServeEngine& engine) {
       << ", \"index_entries\": " << s.index_entries << ", \"index_bytes\": " << s.index_bytes
       << ", \"embedding_rows\": " << s.embedding_rows << ", \"lookups\": " << s.lookups
       << ", \"index_hits\": " << s.index_hits << ", \"batch_scored\": " << s.batch_scored
-      << ", \"unknown\": " << s.unknown << ", \"reloads\": " << s.reloads << "}\n";
+      << ", \"unknown\": " << s.unknown << ", \"reloads\": " << s.reloads
+      << ", \"lookup_p50_us\": " << s.lookup_p50_us << ", \"lookup_p99_us\": " << s.lookup_p99_us
+      << ", \"lookup_p999_us\": " << s.lookup_p999_us
+      << ", \"snapshot_age_s\": " << s.snapshot_age_s << "}\n";
   return out.str();
 }
 

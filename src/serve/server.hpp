@@ -9,10 +9,11 @@
 //   !reload       rebuild + swap the artifact snapshot; reply "ok reload
 //                 version=<v>" or "error reload <reason>" (old snapshot
 //                 stays live on failure)
-//   !stats        reply one-line JSON with the engine counters
+//   !stats        reply one-line JSON with the engine counters, the lookup
+//                 latency p50/p99/p999 (µs) and the snapshot age (s)
 //   !quit         stop; EOF does the same
 //
-// When a status path is configured the engine counters are also written
+// When a status path is configured the same JSON is also written
 // there as a small JSON document (atomically, so a watcher never reads a
 // torn file) every status_every requests and on every control command.
 #pragma once
@@ -32,7 +33,7 @@ struct ServerOptions {
   std::uint64_t status_every = 1024;
 };
 
-/// One-line JSON view of the engine counters (the status-file body).
+/// One-line JSON view of ServeEngine::Stats (the status-file body).
 std::string status_json(const ServeEngine& engine);
 
 /// Atomically write status_json to `path`.

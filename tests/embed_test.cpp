@@ -312,6 +312,39 @@ TEST(Line, RejectsBadConfig) {
   EXPECT_THROW(train_line(g, config), std::invalid_argument);
 }
 
+TEST(Line, RejectsNonFiniteOrOutOfRangeRates) {
+  // Each of these used to train: a NaN lr passed the `lr <= 0` test and
+  // produced NaN rows, and a negative lr floor was accepted.
+  const auto g = two_communities(2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [&](auto&& set) {
+    LineConfig config;
+    config.dimension = 8;
+    config.total_samples = 100;
+    set(config);
+    EXPECT_THROW(train_line(g, config), std::invalid_argument);
+  };
+  rejects([&](LineConfig& c) { c.initial_lr = nan; });
+  rejects([&](LineConfig& c) { c.initial_lr = inf; });
+  rejects([&](LineConfig& c) { c.initial_lr = -0.025; });
+  rejects([&](LineConfig& c) { c.min_lr_fraction = -5.0; });
+  rejects([&](LineConfig& c) { c.min_lr_fraction = 1.5; });
+  rejects([&](LineConfig& c) { c.min_lr_fraction = nan; });
+  rejects([&](LineConfig& c) { c.noise_power = nan; });
+  rejects([&](LineConfig& c) { c.noise_power = inf; });
+  rejects([&](LineConfig& c) { c.noise_power = -inf; });
+
+  // The ends of the ranges still train.
+  LineConfig config;
+  config.dimension = 8;
+  config.total_samples = 100;
+  config.min_lr_fraction = 0.0;
+  EXPECT_NO_THROW(train_line(g, config));
+  config.min_lr_fraction = 1.0;
+  EXPECT_NO_THROW(train_line(g, config));
+}
+
 TEST(Line, MultithreadedTrainingStillSeparates) {
   const auto g = two_communities(8);
   LineConfig config;

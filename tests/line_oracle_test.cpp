@@ -8,8 +8,10 @@
 // The grid covers both objectives and their concatenation, a SIMD-tail
 // dimension (13), the two batch-size clamps (V < 256 -> 64-step batches,
 // V >= 16384 -> 4096-step batches), the two-objective threads (threads 2 and
-// 0), and both train_line entry points. Labeled "simd;concurrency" so the
-// forced-scalar run and the TSan preset both cover it.
+// 0), both train_line entry points, and negatives 0, 1 and 15 besides the
+// default 5. Labeled "simd;concurrency" so the forced-scalar run and the
+// TSan preset both cover it; tools/ci_check.sh also runs the simd label
+// under ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -305,6 +307,33 @@ TEST(LineOracle, MidGraphVertexScaledBatches) {
 TEST(LineOracle, LargeGraphFourThousandStepBatches) {
   // V = 16400 >= 16384: batch size clamps to 4096.
   check_grid(random_graph(16400, 40000, 7), 4096 * 3 + 555);
+}
+
+TEST(LineOracle, NegativeCountsSizeThePerStepArrays) {
+  // A step keeps at most negatives + 1 targets, and the kernel's per-batch
+  // arrays are sized by that; the grid above runs only the default of 5.
+  const util::CsrGraph csr = graph::to_csr(random_graph(1500, 12000, 13));
+  for (const std::size_t negatives : {std::size_t{0}, std::size_t{1}, std::size_t{15}}) {
+    for (const LineOrder order : {LineOrder::kFirst, LineOrder::kSecond, LineOrder::kBoth}) {
+      for (const std::size_t dim : {std::size_t{13}, std::size_t{24}}) {
+        LineConfig config;
+        config.dimension = dim;
+        config.order = order;
+        config.negatives = negatives;
+        config.total_samples = 375 * 4 + 29;
+        config.seed = 31 + negatives;
+        const auto want = reference_train_line(csr, config);
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+          config.threads = threads;
+          expect_bit_identical(want, train_line(csr, config),
+                               "negatives=" + std::to_string(negatives) +
+                                   " order=" + order_name(order) +
+                                   " dim=" + std::to_string(dim) +
+                                   " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
 }
 
 TEST(LineOracle, SamplesPerEdgeBudgetAndUnnormalizedRows) {

@@ -34,7 +34,8 @@
 #      under Address+UB sanitizers — the scenario suite carries the
 #      robustness label too, so it reruns sanitized — plus one
 #      distributed-label pass under ASan so the fork/waitpid/heartbeat
-#      paths run sanitized
+#      paths run sanitized, and one simd-label pass so the LINE oracle
+#      test checks the kernel's per-batch index arithmetic sanitized
 #   7. concurrency label (parallel projection, two-objective LINE threads,
 #      sharded metrics) under ThreadSanitizer, plus the supervised
 #      stage-deadline test: the deadline is a time point, so no thread is
@@ -111,6 +112,9 @@ ctest --preset asan -j "$jobs"
 
 step "distributed label under ASan (fork/waitpid/heartbeat paths sanitized)"
 ctest --test-dir build-asan -j "$jobs" -L distributed --output-on-failure
+
+step "simd label under ASan/UBSan (LINE oracle + kernel parity)"
+ctest --test-dir build-asan -j "$jobs" -L simd --output-on-failure
 
 step "concurrency label and the supervised stage deadline under TSan"
 cmake --preset tsan >/dev/null
